@@ -154,8 +154,7 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
 def cmd_tower(args, em: Emitter, text: str) -> None:
     E = parse_curve_file(text)
     if args.scan is not None:
-        res = rank_growth_scan(E, args.scan, args.max_place_deg,
-                               threads=args.threads)
+        res = rank_growth_scan(E, args.scan, args.max_place_deg)
         if res["warning"]:
             em.human(f"warning: {res['warning']}")
         for row in res["rows"]:
@@ -244,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Euler-product cutoff (default: conductor degree)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="tolerance for the root-size check")
-        p.add_argument("--threads", type=int, default=1, metavar="N",
-                       help="worker threads for independent subcomputations")
 
     p = sub.add_parser("analyze", help="local data, conductor, and L for one curve")
     common(p)

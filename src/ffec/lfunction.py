@@ -3,16 +3,29 @@
 For a non-constant curve the L-function is a polynomial of degree
 N = deg(conductor) - 4 with constant term 1 whose inverse roots all have
 absolute value q.  We compute it by expanding the Euler product as a
-truncated integer power series, consuming places in order of degree, and
-then checking that every coefficient above degree N vanishes.  Constant
-curves have a closed-form rational L-function instead (constant_l) and an
-independent per-degree Euler product (constant_euler_series) used to verify
-it.
+truncated integer power series through degree N + SLACK and then checking
+that every coefficient above degree N vanishes.
+
+Places dividing the discriminant, and infinity, take their factors from
+Tate's algorithm.  The good places are handled one degree d at a time:
+every place of degree d has a residue field isomorphic to one field
+K = F_{q^d}, built once per (F_q, d) and cached with its Zech table, and
+the places are the Frobenius orbits of size d on K, enumerated as orbits of
+k -> qk mod (q^d - 1) on exponents of K's generator (all of F_q, 0 included,
+for d = 1).  The model's coefficients are evaluated at one element of each
+orbit in exponent arithmetic and its points counted over K.  For each
+degree, the good orbits plus the bad places must number place_count(q, d),
+which cross-checks the evaluation against the factored discriminant.
+
+Constant curves have a closed-form rational L-function instead (constant_l)
+and an independent per-degree Euler product (constant_euler_series) used to
+verify it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from fractions import Fraction
 
@@ -22,13 +35,14 @@ from .algebra import (
     CapError,
     FFECError,
     PLACE_CAP,
+    Fq,
     Place,
+    Poly,
     factor_poly,
     field_create,
     count_ws_points,
+    iter_monic_irreducibles,
     place_count,
-    places_up_to,
-    reduce_at,
 )
 from .weierstrass import Curve, classify, constant_embedding, minimal_polynomial_model
 from .local import LocalData, conductor, fiber_table_row, tate_type
@@ -184,13 +198,75 @@ def _extend_inverse_roots(L: LPoly, m: int) -> LPoly:
 # ---------------------------------------------------------------------------
 # the Euler product for non-constant curves
 
+@functools.lru_cache(maxsize=None)
+def _degree_field(F: Fq, d: int) -> Fq:
+    """The residue field of every degree-d place of F(t), up to isomorphism:
+    that of the place at the least monic irreducible of degree d (F itself
+    for d = 1).  Cached per (F, d), so its Zech table (Fq.zech) is built
+    once per process; a process meets few constant fields, and the cap keeps
+    each table at most PLACE_CAP entries."""
+    g = next(iter_monic_irreducibles(F, d))
+    return Place(F, g, _checked=True).residue_field()
+
+
+def _place_orbits(q: int, d: int) -> list:
+    """One element per place of F_q(t) of degree d, as a generator exponent
+    in the degree-d field: the places are the Frobenius orbits of size d of
+    k -> qk mod (q^d - 1).  For d = 1 every element of F_q is a place, and
+    None stands for 0."""
+    M = q ** d - 1
+    if d == 1:
+        return [None] + list(range(M))
+    seen = bytearray(M)
+    reps = []
+    for k in range(M):
+        if seen[k]:
+            continue
+        j, size = k, 0
+        while not seen[j]:
+            seen[j] = 1
+            j = j * q % M
+            size += 1
+        if size == d:
+            reps.append(k)
+    return reps
+
+
+def _log_coeffs(f: Poly, K: Fq, zt) -> list:
+    """(i, log c_i) for the non-zero coefficients of f, embedded in K."""
+    if K is f.field:
+        return [(i, zt.log[c]) for i, c in enumerate(f.coeffs) if c]
+    return [(i, zt.log[K.element([c])]) for i, c in enumerate(f.coeffs) if c]
+
+
+def _log_eval(terms, k, M: int, Z) -> int | None:
+    """log f(g^k) from f's _log_coeffs, by Zech addition; None for f(g^k) = 0
+    and k = None for the argument 0."""
+    if k is None:
+        return terms[0][1] if terms and terms[0][0] == 0 else None
+    acc = None
+    for i, lc in terms:
+        e = (lc + i * k) % M
+        if acc is None:
+            acc = e
+        else:
+            z = Z[(e - acc) % M]
+            acc = None if z < 0 else (acc + z) % M
+    return acc
+
+
 def l_polynomial(E: Curve, max_place_deg: int | None = None,
                  descend: bool = True) -> LPoly:
     """The L-function of a non-constant E over F_q(t), exactly.
 
     Expands the Euler product over all places of degree <= max_place_deg
     (default N + 4) and extracts the degree-N polynomial; the coefficients
-    above N must vanish, which re-confirms N = deg(conductor) - 4.  When
+    above N must vanish, which re-confirms N = deg(conductor) - 4.  Places
+    dividing the discriminant, and infinity, go through Tate's algorithm;
+    the good places of degree d are the Frobenius orbits of the shared
+    degree-d field (_degree_field, _place_orbits), where the model is
+    evaluated by Zech logarithms and its points counted.  Per degree, the
+    good orbits plus the bad places must number place_count(q, d).  When
     the coefficients of E lie in a proper subfield the product is computed
     there and the inverse roots are raised to the matching power, which
     avoids point counts over residue fields beyond the cap (descend=False
@@ -206,6 +282,7 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
             return _extend_inverse_roots(down, E.field.e // ep)
 
     F = E.field
+    q = F.q
     N = conductor(E).deg - 4
     if N < 0:
         raise FFECError(f"conductor degree {N + 4} is impossible for a non-constant curve")
@@ -214,38 +291,56 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
         raise FFECError(f"max_place_deg={order} cannot resolve a degree-{N} polynomial")
 
     M, _ = minimal_polynomial_model(E)
-    inv = M.invariants()
-    candidates = {}
-    _, fac = factor_poly(inv.delta.num)
-    for v in [Place.infinite(F)] + [Place.finite(g) for g, _ in fac]:
-        if v.degree <= order:
-            candidates[v] = tate_type(M, v)
+    delta = M.invariants().delta.num
+    _, fac = factor_poly(delta)
+    bad = [Place.infinite(F)] + [Place.finite(g) for g, _ in fac]
 
     series = [0] * (order + 1)
     series[0] = 1
-    for v in places_up_to(F, order):
+    n_bad = [0] * (order + 1)
+    for v in bad:
         d = v.degree
-        ld = candidates.get(v)
-        if ld is not None:
-            if ld.type.is_good:
-                if ld.a_v is None:
-                    raise CapError(f"cannot count points at {v!r}: q_v = {v.qv}")
-                _absorb_good(series, d, ld.a_v, v.qv)
-            elif ld.type.is_multiplicative:
-                _absorb_mult(series, d, ld.a_v)
+        if d > order:
             continue
-        if v.qv > PLACE_CAP:
-            raise CapError(f"cannot count points at {v!r}: q_v = {v.qv}")
-        k = v.residue_field()
-        cs = [reduce_at(r, v) for r in M.coeffs]
-        a = v.qv + 1 - count_ws_points(k, *cs)
-        _absorb_good(series, d, a, v.qv)
+        if not v.is_infinite:
+            n_bad[d] += 1
+        ld = tate_type(M, v)
+        if ld.type.is_good:
+            if ld.a_v is None:
+                raise CapError(f"cannot count points at {v!r}: q_v = {v.qv}")
+            _absorb_good(series, d, ld.a_v, v.qv)
+        elif ld.type.is_multiplicative:
+            _absorb_mult(series, d, ld.a_v)
+
+    for d in range(1, order + 1):
+        qv = q ** d
+        if qv > PLACE_CAP:
+            raise CapError(f"cannot count points at places of degree {d}: q_v = {qv}")
+        K = _degree_field(F, d)
+        zt = K.zech()
+        Z, exp, zero = zt.zech, zt.exp, K.zero
+        terms = [_log_coeffs(r.num, K, zt) for r in M.coeffs]
+        dterms = _log_coeffs(delta, K, zt)
+        good = 0
+        for k in _place_orbits(q, d):
+            if _log_eval(dterms, k, qv - 1, Z) is None:
+                continue
+            good += 1
+            cs = []
+            for logs in terms:
+                e = _log_eval(logs, k, qv - 1, Z)
+                cs.append(zero if e is None else exp[e])
+            _absorb_good(series, d, qv + 1 - count_ws_points(K, *cs), qv)
+        if good + n_bad[d] != place_count(q, d):
+            raise FFECError(
+                f"degree {d}: {good} good orbits and {n_bad[d]} bad places, "
+                f"but F_{q}(t) has {place_count(q, d)} places of that degree")
 
     if any(series[N + 1:]):
         raise FFECError(
             f"Euler product does not truncate at degree {N}: "
             f"tail {series[N + 1:]} should vanish")
-    return LPoly(tuple(series[: N + 1]), F.q, N)
+    return LPoly(tuple(series[: N + 1]), q, N)
 
 
 # ---------------------------------------------------------------------------

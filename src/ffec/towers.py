@@ -13,7 +13,6 @@ odd dimension has 1 - T^a dividing det(1 - phi T).
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import math
 from fractions import Fraction
@@ -23,7 +22,7 @@ import sympy
 from .algebra import CapError, FFECError, PLACE_CAP, mult_order
 from .weierstrass import Curve, base_change_pow, extend_constants
 from .local import nprime_deg
-from .lfunction import LPoly, analytic_rank, l_polynomial
+from .lfunction import LPoly, _extend_inverse_roots, analytic_rank, l_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +311,7 @@ def factor_degrees(L: LPoly):
 
 
 def rank_growth_scan(E: Curve, n_max: int,
-                     max_place_deg: int | None = None,
-                     threads: int = 1) -> dict:
+                     max_place_deg: int | None = None) -> dict:
     """Analytic ranks over F_d and K_d for d = q^n + 1, n = 1..n_max.
 
     Reports the observed constant c_obs = max_n (d/(2n) - rank over F_d),
@@ -322,31 +320,23 @@ def rank_growth_scan(E: Curve, n_max: int,
     from the tame parts at 0 and infinity is odd; when it is even the scan
     still runs but carries a warning.
 
-    threads > 1 computes the independent (d, constant-field) L-functions
-    on a thread pool; rows are assembled in scan order either way.
+    Each Euler product runs once, over F_d: K_d = F_d(mu_d) is a constant
+    extension of degree mult_order(q, d), so L over K_d follows by raising
+    the inverse roots of L over F_d to that power.
     """
     q = E.field.q
     npd = nprime_deg(E)
     warning = None
     if npd % 2 == 0:
         warning = f"nprime degree {npd} is even; the growth bound is not guaranteed"
-    jobs = [(n, mu) for n in range(1, n_max + 1) for mu in (False, True)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            ls = pool.map(
-                lambda j: tower_l(E, q ** j[0] + 1, use_mu_d=j[1],
-                                  max_place_deg=max_place_deg), jobs)
-            fetched = dict(zip(jobs, ls))
-    else:
-        fetched = {j: tower_l(E, q ** j[0] + 1, use_mu_d=j[1],
-                              max_place_deg=max_place_deg) for j in jobs}
     rows = []
     c_obs = None
     for n in range(1, n_max + 1):
         d = q ** n + 1
+        L_F = tower_l(E, d, max_place_deg=max_place_deg)
+        L_K = _extend_inverse_roots(L_F, mult_order(q, d))
         ranks = {}
-        for fieldname, mu in (("F_d", False), ("K_d", True)):
-            L = fetched[(n, mu)]
+        for fieldname, L in (("F_d", L_F), ("K_d", L_K)):
             r = analytic_rank(L)
             ranks[fieldname] = r
             rows.append({

@@ -113,8 +113,7 @@ def test_tower_bad_d(e7_file, capsys):
 
 def test_tower_scan(e7_file, capsys):
     code, records, _ = run(capsys,
-                           ["tower", "--curve", e7_file, "--scan", "1",
-                            "--threads", "2"])
+                           ["tower", "--curve", e7_file, "--scan", "1"])
     assert code == 0
     rows = by_kind(records, "towerscan")
     assert [r["field"] for r in rows] == ["F_d", "K_d"]
@@ -218,7 +217,7 @@ def _strip_seconds(records):
 
 
 def test_reports_deterministic(e7_file, capsys):
-    argv = ["tower", "--curve", e7_file, "--scan", "1", "--threads", "4"]
+    argv = ["tower", "--curve", e7_file, "--scan", "1"]
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert _strip_seconds(first) == _strip_seconds(second)

@@ -1,13 +1,37 @@
 """L-polynomials: Euler products, closed forms, FE, RH, ranks, surface zeta."""
 
+import collections
+
 import pytest
 
-from ffec.algebra import FFECError, Place, field_create, parse_poly, parse_ratfunc
-from ffec.weierstrass import Curve, base_change_pow, extend_constants
+from ffec import algebra, lfunction
+from ffec.algebra import (
+    CapError,
+    FFECError,
+    Place,
+    Poly,
+    RatFunc,
+    count_ws_points,
+    field_create,
+    parse_poly,
+    parse_ratfunc,
+    place_count,
+    places_up_to,
+    reduce_at,
+)
+from ffec.weierstrass import (
+    Curve,
+    base_change_pow,
+    classify,
+    extend_constants,
+    minimal_polynomial_model,
+)
 from ffec import catalog
 from ffec.local import UndefinedRowError, bad_reduction, conductor
 from ffec.lfunction import (
     LPoly,
+    _degree_field,
+    _place_orbits,
     analytic_rank,
     check_functional_equation,
     check_rh,
@@ -233,3 +257,100 @@ def test_rank_bounded_by_degree():
             q = L.q
             from math import comb
             assert L.coeffs == tuple(comb(L.N, k) * (-q) ** k for k in range(L.N + 1))
+
+
+# ---------------------------------------------------------------------------
+# the per-degree Euler product against a place-by-place reference
+
+def _reference_series(E, order):
+    """The Euler product to the given order, place by place: every good
+    place reduces the minimal model into its own residue field and counts
+    points there; places dividing the discriminant, and infinity, take
+    their factor from Tate's algorithm."""
+    M, _ = minimal_polynomial_model(E)
+    delta = M.invariants().delta.num
+    series = [1] + [0] * order
+    for v in places_up_to(E.field, order):
+        if v.is_infinite or (delta % v.poly).is_zero():
+            f = euler_factor(M, v)
+        else:
+            cs = [reduce_at(r, v) for r in M.coeffs]
+            a = v.qv + 1 - count_ws_points(v.residue_field(), *cs)
+            d = v.degree
+            f = [0] * (2 * d + 1)
+            f[0], f[d], f[2 * d] = 1, -a, v.qv
+        for i in range(1, order + 1):
+            series[i] -= sum(f[j] * series[i - j]
+                             for j in range(1, min(i, len(f) - 1) + 1))
+    return series
+
+
+def _draw_curve(F, max_N, rng):
+    """A random non-constant curve over F(t) with coefficients of degree
+    <= 1 and N <= max_N."""
+    els = list(F.elements())
+    while True:
+        cs = [RatFunc(Poly(F, [els[rng.randrange(F.q)] for _ in range(rng.randrange(3))]))
+              for _ in range(5)]
+        try:
+            E = Curve(F, *cs)
+        except FFECError:
+            continue
+        if not classify(E).constant and conductor(E).deg - 4 <= max_N:
+            return E
+
+
+def test_euler_product_matches_reference(rng):
+    t = parse_ratfunc("t", F2)
+    curves = [Curve(F2, a1=1, a6=t ** 3 + t ** 2 + t)]   # bad at t^2 + t + 1
+    for F, max_N, count in ((F2, 2, 2), (F3, 1, 2), (field_create(2, 2), 0, 1)):
+        curves += [_draw_curve(F, max_N, rng) for _ in range(count)]
+    assert any(ld.place.degree >= 2 for E in curves for ld in bad_reduction(E)
+               if not ld.place.is_infinite)
+    for E in curves:
+        L = l_polynomial(E, descend=False)
+        assert _reference_series(E, L.N + 4) == list(L.coeffs) + [0] * 4, E
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_place_orbits_count_places(q):
+    for d in range(1, 7):
+        assert len(_place_orbits(q, d)) == place_count(q, d)
+
+
+def test_degree_fields_shared(monkeypatch):
+    built = collections.Counter()
+    init = algebra.ZechTable.__init__
+
+    def counting(self, field):
+        built[field] += 1
+        init(self, field)
+
+    _degree_field.cache_clear()
+    monkeypatch.setattr(algebra.ZechTable, "__init__", counting)
+    E = crit2_curve()
+    first = l_polynomial(E, max_place_deg=4)
+    second = l_polynomial(E, max_place_deg=4)
+    assert first == second
+    fields = [_degree_field(F5, d) for d in range(2, 5)]
+    assert [built[K] for K in fields] == [1] * len(fields)
+
+
+def test_place_count_check(monkeypatch):
+    orbits = lfunction._place_orbits
+    monkeypatch.setattr(lfunction, "_place_orbits", lambda q, d: orbits(q, d)[1:])
+    with pytest.raises(FFECError, match="places of that degree"):
+        l_polynomial(crit2_curve(), max_place_deg=4)
+
+
+def test_tail_check(monkeypatch):
+    count = lfunction.count_ws_points
+    monkeypatch.setattr(lfunction, "count_ws_points", lambda K, *cs: count(K, *cs) + 1)
+    with pytest.raises(FFECError, match="does not truncate"):
+        l_polynomial(crit2_curve(), max_place_deg=4)
+
+
+def test_place_cap(monkeypatch):
+    monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 3)
+    with pytest.raises(CapError, match="degree 4"):
+        l_polynomial(crit2_curve(), max_place_deg=4)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ffec.algebra import FFECError, field_create, mult_order, parse_ratfunc
-from ffec.weierstrass import Curve
+from ffec.weierstrass import Curve, base_change_pow, extend_constants
 from ffec import catalog
 from ffec.lfunction import analytic_rank, l_polynomial
 from ffec.towers import (
@@ -135,6 +135,19 @@ def test_rank_growth_scan():
         assert r["rank"] <= r["N"]
         assert r["c_obs"] == 1.5
         assert by_key[(d, "K_d")]["rank"] >= by_key[(d, "F_d")]["rank"]
+
+
+@pytest.mark.parametrize("fam", [catalog.e7, catalog.e8, catalog.e9,
+                                 catalog.first_example])
+def test_scan_k_rows_match_direct_product(fam):
+    # the scan gets L over K_3 = F_4 from L over F_3 by power sums; expand
+    # the Euler product over F_4(u) directly instead
+    E = fam(F2)
+    rows = {r["field"]: r for r in rank_growth_scan(E, 1)["rows"]}
+    EK = base_change_pow(extend_constants(E, mult_order(2, 3)), 3)
+    direct = l_polynomial(EK, max_place_deg=max(rows["K_d"]["N"], 1), descend=False)
+    assert direct.q == rows["K_d"]["q_const"] == 4
+    assert list(direct.coeffs) == rows["K_d"]["l_coeffs"]
 
 
 def test_scan_warning_even_nprime():
