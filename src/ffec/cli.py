@@ -173,10 +173,8 @@ def cmd_tower(args, em: Emitter, text: str) -> None:
 def cmd_points(args, em: Emitter, text: str | None) -> None:
     if args.family != "legendre":
         raise ValueError(f"unknown family {args.family!r}")
-    if args.iters < 1:
-        raise ValueError("--iters must be at least 1")
     fam = legendre_family(args.p, args.f)
-    rep = points_report(fam, n_iter=args.iters, tol=args.tol)
+    rep = points_report(fam)
     em.record("family", curve=rep["curve"], q=rep["q"], d=rep["d"])
     for row in rep["points"]:
         em.record("point", **row)
@@ -229,46 +227,51 @@ def cmd_berger(args, em: Emitter, text: str | None) -> None:
     em.check(g >= 0, "negative genus")
 
 
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ffec",
         description="exact arithmetic for elliptic curves over F_q(t)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, curve=True):
-        if curve:
-            p.add_argument("--curve", required=True, metavar="FILE",
-                           help="curve file (p = , e = , a1 = ... lines)")
+    def curve_command(name, help_text, fn):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--curve", required=True, metavar="FILE",
+                       help="curve file (p = , e = , a1 = ... lines)")
         p.add_argument("--max-place-deg", type=int, default=None, metavar="N",
-                       help="Euler-product cutoff (default: conductor degree)")
+                       help="Euler-product cutoff (default: N + 4 for L "
+                            "of degree N)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="tolerance for the root-size check")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("analyze", help="local data, conductor, and L for one curve")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    curve_command("analyze", "local data, conductor, and L for one curve",
+                  cmd_analyze)
 
-    p = sub.add_parser("tower", help="L-functions under t -> u^d")
-    common(p)
+    p = curve_command("tower", "L-functions under t -> u^d", cmd_tower)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--d", type=int, metavar="N", help="single layer t = u^N")
     group.add_argument("--scan", type=int, metavar="N_MAX",
                        help="scan d = q^n + 1 for n = 1..N_MAX")
     p.add_argument("--mu", action="store_true",
                    help="extend constants to contain the d-th roots of unity")
-    p.set_defaults(fn=cmd_tower)
 
     p = sub.add_parser("points", help="explicit point family and its heights")
-    common(p, curve=False)
     p.add_argument("--family", default="legendre", help="family name")
     p.add_argument("--p", type=int, required=True, help="odd characteristic")
     p.add_argument("--f", type=int, default=1, help="q = p^f")
-    p.add_argument("--iters", type=int, default=6, metavar="N",
-                   help="doublings for the canonical height")
     p.set_defaults(fn=cmd_points)
 
     p = sub.add_parser("berger", help="divisor data for the product construction")
-    common(p, curve=False)
     p.add_argument("--catalog", default=None, metavar="NAME",
                    help="berger-L4, first-example, or second-example")
     p.add_argument("--params", nargs="*", default=[], metavar="KEY=VAL",
@@ -283,8 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
     em = Emitter(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as ex:
+        em.meta(None)
+        em.error(f"usage: {ex}")
+        return em.close()
     path = getattr(args, "curve", None)
     if getattr(args, "data", None) is not None:
         path = args.data

@@ -1,11 +1,29 @@
-"""Heights on E(F_q(u)): the naive degree height, canonical heights by
-repeated doubling, height pairings with Gram-rank lower bounds for the
-Mordell-Weil rank, torsion testing, and the explicit point family on
+"""Heights on E(F_q(u)): the naive degree height, exact canonical heights,
+height pairings with Gram-rank lower bounds for the Mordell-Weil rank,
+torsion testing, and the explicit point family on
 y^2 + xy + u^d y = x^3 + u^d x^2 with d = q + 1.
+
+The canonical height is normalised as lim deg x(2^n P) / 4^n and computed
+exactly as a finite sum of Neron local heights (Silverman, "Computing
+heights on elliptic curves", Math. Comp. 51 (1988), Thm 5.2):
+
+    hhat(P) = sum_{v in S} deg v * 2 lambda_v(P)
+              + deg Z - sum_{v in S finite} deg v * v(Z).
+
+M is the polynomial minimal model, S is infinity plus every place dividing
+its discriminant, and Z is the reduced denominator of x(P) on M.  Off S, M
+has good reduction and 2 lambda_v(P) = v(Z).  On S, lambda_v is evaluated
+on the model minimal at v from Tate's algorithm and needs only valuations:
+P reduces to a nonsingular point; or the fiber is multiplicative; or it is
+additive and v(psi3) >= 3 v(psi2); or none of these.  Summed, this is
+Shioda's formula <P,P> = 2 chi + 2 (P.O) - sum_v contr_v(P) (Comment. Math.
+Univ. St. Pauli 39, 1990).  The valuations are read off power series in a
+local parameter, truncated at the precision the case needs.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,31 +32,27 @@ from .algebra import (
     FFECError,
     Fq,
     FqElem,
+    Place,
     Poly,
     RatFunc,
     _int_factor,
+    factor_poly,
     field_create,
     format_ratfunc,
 )
-from .local import torsion_bound
-from .weierstrass import Curve, CurvePoint, minimal_polynomial_model
-
-# Coordinate degrees grow by a factor of 4 per doubling; this cap keeps a
-# runaway iteration from exhausting memory before it exhausts patience.
-DEGREE_CAP = 300_000
+from .local import minimal_model_at, tate_type, torsion_bound
+from .weierstrass import Curve, CurvePoint, Transform, minimal_polynomial_model
 
 FAMILY_CAP = 2 ** 16
 
 
 class TorsionInconclusive(FFECError):
-    """The height signal says torsion but the multiple check cannot confirm."""
+    """The height says torsion but the multiple check cannot confirm."""
 
 
 @dataclass(frozen=True)
 class HeightValue:
-    """A rational height estimate; the error is the last doubling bracket
-    |h_n/4^n - h_{n-1}/4^{n-1}|, which shrinks by a factor of 4 per extra
-    iteration."""
+    """An exact canonical height; error and iterations are always 0."""
 
     value: Fraction
     error: Fraction
@@ -64,94 +78,276 @@ def naive_height(P: CurvePoint) -> int:
     return max(_deg(P.x.num), _deg(P.x.den))
 
 
-def canonical_height(E: Curve, P: CurvePoint, n_iter: int = 6) -> HeightValue:
-    """h(2^n P)/4^n after n_iter doublings, with the bracket against the
-    previous iterate as the error estimate.  Returns an exact 0 if some
-    2^n P is the point at infinity."""
-    if P.is_infinity:
-        raise ValueError("the point at infinity has no canonical height")
-    if n_iter < 1:
-        raise ValueError("need at least one doubling")
+# power series c[0] + c[1] e + ... truncated to their length ---------------
+
+
+def _sval(a) -> int:
+    """Index of the first nonzero coefficient; len(a) if none is known."""
+    return next((i for i, c in enumerate(a) if c), len(a))
+
+
+def _sadd(*terms):
+    return [sum(cs[1:], cs[0]) for cs in zip(*terms)]
+
+
+def _smul(a, b):
+    n = min(len(a), len(b))
+    if not n:
+        return []
+    out = [a[0].field.zero] * n
+    for i in range(n):
+        x = a[i]
+        if x:
+            for j in range(n - i):
+                if b[j]:
+                    out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def _sinv(a):
+    """Inverse of a series with a unit constant term."""
+    c = a[0].inverse()
+    out = [c]
+    for k in range(1, len(a)):
+        acc = a[k] * out[0]
+        for j in range(1, k):
+            acc = acc + a[k - j] * out[j]
+        out.append(-(acc * c))
+    return out
+
+
+def _sscale(k: int, a):
+    return [c * k for c in a]
+
+
+class _Local:
+    """A place v of S and the model E_v minimal there, read as power series
+    in a local parameter e: e = t - alpha over the residue field at a finite
+    place (alpha the class of t), e = 1/t at infinity.  Points are expanded
+    on the model M at finite places and on M scaled by u = t^h at infinity,
+    both integral at v; the transform from there to E_v has u = e^m * unit.
+    """
+
+    def __init__(self, M: Curve, v: Place, h: int):
+        model, tau = minimal_model_at(M, v)
+        ld = tate_type(M, v)
+        self.place = v
+        self.deg = v.degree
+        self.infinite = v.is_infinite
+        self.N = ld.vdelta_min
+        self.multiplicative = ld.type.is_multiplicative
+        self.h = h if self.infinite else 0
+        self.m = v.valuation(tau.u) + self.h
+        if self.infinite:
+            self.kappa, self.alpha = M.field, None
+        elif v.degree == 1:
+            self.kappa, self.alpha = M.field, -v.poly.coeffs[0]
+        else:
+            self.kappa = v.residue_field()
+            self.alpha = self.kappa.gen
+        # the precision each case needs; a shortfall doubles it and retries
+        if self.N == 0:
+            self.prec = 1
+        elif self.multiplicative:
+            self.prec = (self.N + 1) // 2
+        else:
+            self.prec = self.N
+        inv = model.invariants()
+        self._coeffs = (model.a1, model.a2, model.a3, model.a4,
+                        inv.b2, inv.b4, inv.b6, inv.b8)
+        self._tau = None if tau.is_identity() else tau
+        self._at = {}
+
+    def _embed(self, f: Poly):
+        if self.kappa is f.field:
+            return list(f.coeffs)
+        return [self.kappa.element((c,)) for c in f.coeffs]
+
+    def _taylor(self, f: Poly, n: int):
+        """The first n coefficients of f(alpha + e)."""
+        zero = self.kappa.zero
+        cs = self._embed(f)
+        if not self.alpha:
+            return (cs + [zero] * n)[:n]
+        out = []
+        for _ in range(n):
+            acc = zero
+            quo = []
+            for c in reversed(cs):
+                acc = acc * self.alpha + c
+                quo.append(acc)
+            out.append(quo.pop() if quo else zero)
+            quo.reverse()
+            cs = quo
+        return out
+
+    def series(self, num: Poly, den: Poly, weight: int, n: int):
+        """The first n coefficients of (num/den) t^(-weight h), which is
+        integral at v."""
+        zero = self.kappa.zero
+        if not num:
+            return [zero] * n
+        if self.infinite:
+            shift = weight * self.h + den.degree - num.degree
+            if shift < 0:
+                raise FFECError(f"not integral at {self.place!r}")
+            k = n - shift
+            if k <= 0:
+                return [zero] * n
+            a = [num[num.degree - i] for i in range(k)]
+            b = [den[den.degree - i] for i in range(k)]
+            return [zero] * shift + _smul(a, _sinv(b))
+        a = self._taylor(num, n)
+        if den.degree == 0 and den.coeffs[0] is den.field.one:
+            return a
+        return _smul(a, _sinv(self._taylor(den, n)))
+
+    def _data(self, n: int):
+        """E_v's a1, a2, a3, a4, b2, b4, b6, b8 to n - 3m terms, and the
+        transform's 1/unit^2, 1/unit^3, r, s, w to n terms."""
+        got = self._at.get(n)
+        if got is None:
+            k = n - 3 * self.m
+            coeffs = [self.series(c.num, c.den, 0, k) for c in self._coeffs]
+            tau = self._tau
+            if tau is None:
+                got = coeffs, None
+            else:
+                u = self.series(tau.u.num, tau.u.den, 1, n)
+                ui = _sinv(u[self.m:])
+                ui2 = _smul(ui, ui)
+                got = coeffs, (ui2, _smul(ui2, ui),
+                               *(self.series(c.num, c.den, wt, n)
+                                 for c, wt in ((tau.r, 2), (tau.s, 1), (tau.w, 3))))
+            self._at[n] = got
+        return got
+
+    def local_height(self, X: Poly, Y: Poly, Z: Poly, W: Poly, vz: int):
+        """(case, 2 lambda_v(P)) for P = (X/Z, Y/W) on M, with vz = v(Z)."""
+        pole = X.degree - Z.degree - 2 * self.h if self.infinite else vz
+        if pole > 0:
+            # P meets O on every model integral at v
+            return "a", pole + 2 * self.m + Fraction(self.N, 6)
+        n = start = self.prec + 3 * self.m
+        while n <= 64 * start:
+            got = self._silverman(X, Y, Z, W, n)
+            if got is not None:
+                return got
+            n *= 2
+        raise FFECError(f"local height at {self.place!r} does not resolve "
+                        f"at precision {n // 2}")
+
+    def _silverman(self, X, Y, Z, W, n):
+        """Silverman's case split on E_v at precision n, or None if n falls
+        short of what the case needs."""
+        m, N = self.m, self.N
+        n6 = Fraction(N, 6)
+        (a1, a2, a3, a4, b2, b4, b6, b8), tr = self._data(n)
+        x = self.series(X, Z, 2, n)
+        y = self.series(Y, W, 3, n)
+        k = n - 3 * m
+        if tr is None:
+            xv, yv = x, y
+        else:
+            ui2, ui3, r, s, w = tr
+            xr = _sadd(x, _sscale(-1, r))
+            j = _sval(xr)
+            if j < 2 * m:
+                return "a", 2 * m - j + n6
+            xv = _smul(xr[2 * m:], ui2)[:k]
+            yr = _sadd(y, _sscale(-1, _smul(s, xr)), _sscale(-1, w))
+            yv = _smul(yr[3 * m:], ui3)
+        psi2 = _sadd(_sscale(2, yv), _smul(a1, xv), a3)
+        xx = _smul(xv, xv)
+        fx = _sadd(_sscale(3, xx), _sscale(2, _smul(a2, xv)), a4,
+                   _sscale(-1, _smul(a1, yv)))
+        if psi2[0] or fx[0]:
+            return "a", n6
+        v2 = _sval(psi2)
+        if self.multiplicative:
+            if v2 == k and 2 * k < N:
+                return None
+            e = min(Fraction(v2), Fraction(N, 2))
+            return "b", n6 - e * (N - e) / N
+        x3 = _smul(xx, xv)
+        psi3 = _sadd(_sscale(3, _smul(xx, xx)), _smul(b2, x3),
+                     _sscale(3, _smul(b4, xx)), _sscale(3, _smul(b6, xv)), b8)
+        v3 = _sval(psi3)
+        if v3 < k and v3 < 3 * v2:
+            return "d", n6 - Fraction(v3, 4)
+        if v2 < k and 3 * v2 <= v3:
+            return "c", n6 - Fraction(2 * v2, 3)
+        return None
+
+
+@dataclass(frozen=True)
+class _CurveHeights:
+    """The per-curve part of the local-height sum: the transform to the
+    polynomial minimal model M (None for the identity) and the places of
+    S, infinity first, then the factors of M's discriminant."""
+
+    transform: Transform | None
+    places: tuple[_Local, ...]
+
+
+@functools.lru_cache(maxsize=16)
+def _curve_heights(E: Curve) -> _CurveHeights:
     M, tau = minimal_polynomial_model(E)
-    Q = tau.apply_point(P)
-    inv = M.invariants()
-    b2, b4, b6, b8 = (r.num for r in (inv.b2, inv.b4, inv.b6, inv.b8))
-    two = M.field.scalar(2)
-    four = M.field.scalar(4)
+    _, fac = factor_poly(M.invariants().delta.num)
+    h = max(-(-int(a.num.degree) // i)
+            for i, a in zip((1, 2, 3, 4, 6), M.coeffs) if a)
+    places = [Place.infinite(M.field)] + [Place.finite(g) for g, _ in fac]
+    return _CurveHeights(None if tau.is_identity() else tau,
+                         tuple(_Local(M, v, h) for v in places))
+
+
+def local_heights(E: Curve, P: CurvePoint):
+    """[(v, case, 2 lambda_v(P)) for v in S] and the part deg Z - sum of
+    deg v * v(Z) over the finite v in S that the places off S contribute.
+    case is Silverman's: "a" nonsingular reduction, "b" multiplicative,
+    "c" v(psi3) >= 3 v(psi2), "d" otherwise."""
+    data = _curve_heights(E)
+    Q = P if data.transform is None else data.transform.apply_point(P)
     X, Z = Q.x.num, Q.x.den
-    hs = [max(_deg(X), _deg(Z))]
-    for n in range(1, n_iter + 1):
-        X2 = X * X
-        Z2 = Z * Z
-        XZ = X * Z
-        XZ3 = XZ * Z2
-        X2Z2 = X2 * Z2
-        Xn = X2 * X2 - b4 * X2Z2 - b6 * XZ3 * two - b8 * (Z2 * Z2)
-        Zn = X2 * XZ * four + b2 * X2Z2 + b4 * XZ3 * two + b6 * (Z2 * Z2)
-        if Zn.is_zero():
-            return HeightValue(Fraction(0), Fraction(0), n)
-        g = Xn.gcd(Zn)
-        if g.degree > 0:
-            Xn = Xn.exact_div(g)
-            Zn = Zn.exact_div(g)
-        X, Z = Xn, Zn
-        h = max(_deg(X), _deg(Z))
-        if h > DEGREE_CAP:
-            raise FFECError(
-                f"degree budget exceeded at doubling {n}: {h} > {DEGREE_CAP}")
-        hs.append(h)
-        # once two consecutive steps quadruple exactly, h_n/4^n has
-        # stabilized and further doublings only confirm the same value
-        if n >= 2 and hs[-1] > 0 and hs[-1] == 4 * hs[-2] and hs[-2] == 4 * hs[-3]:
-            return HeightValue(Fraction(hs[-1], 4 ** n), Fraction(0), n)
-    value = Fraction(hs[-1], 4 ** n_iter)
-    prev = Fraction(hs[-2], 4 ** (n_iter - 1))
-    return HeightValue(value, abs(value - prev), n_iter)
+    Y, W = Q.y.num, Q.y.den
+    rest = _deg(Z)
+    out = []
+    for loc in data.places:
+        vz = 0 if loc.place.is_infinite else loc.place.valuation_poly(Z)
+        rest -= loc.deg * vz
+        case, lam = loc.local_height(X, Y, Z, W, vz)
+        out.append((loc.place, case, lam))
+    return out, rest
 
 
-def _height_or_zero(E: Curve, P: CurvePoint, n_iter: int) -> HeightValue:
+def canonical_height(E: Curve, P: CurvePoint) -> HeightValue:
+    """The exact canonical height, 0 for the point at infinity."""
     if P.is_infinity:
-        return HeightValue(Fraction(0), Fraction(0), n_iter)
-    return canonical_height(E, P, n_iter)
+        return HeightValue(Fraction(0), Fraction(0), 0)
+    terms, rest = local_heights(E, P)
+    value = rest + sum(v.degree * lam for v, _, lam in terms)
+    return HeightValue(Fraction(value), Fraction(0), 0)
 
 
 def height_pairing(E: Curve, P: CurvePoint, Q: CurvePoint,
-                   n_iter: int = 6) -> HeightValue:
-    """(hhat(P+Q) - hhat(P) - hhat(Q)) / 2."""
-    s = _height_or_zero(E, E.add(P, Q), n_iter)
-    a = _height_or_zero(E, P, n_iter)
-    b = _height_or_zero(E, Q, n_iter)
-    return HeightValue((s.value - a.value - b.value) / 2,
-                       (s.error + a.error + b.error) / 2, n_iter)
+                   _ignored=None) -> HeightValue:
+    """(hhat(P+Q) - hhat(P) - hhat(Q)) / 2.  A fourth argument, the
+    doubling count of older callers, is accepted and ignored."""
+    s = canonical_height(E, E.add(P, Q)).value
+    value = (s - canonical_height(E, P).value - canonical_height(E, Q).value) / 2
+    return HeightValue(value, Fraction(0), 0)
 
 
-def gram_matrix(E: Curve, points, n_iter: int = 6,
-                tol: float = 1e-9) -> list[list[Fraction]]:
-    """Pairing matrix with every entry snapped to the nearest rational of
-    denominator at most 4 d^2.  Raises if an entry cannot be reconstructed
-    unambiguously at the given tolerance."""
+def gram_matrix(E: Curve, points) -> list[list[Fraction]]:
+    """The exact height-pairing matrix of the points."""
     d = len(points)
-    bound = 4 * d * d
-    tolf = Fraction(tol)
-    heights = [_height_or_zero(E, P, n_iter) for P in points]
+    heights = [canonical_height(E, P).value for P in points]
     gram: list[list[Fraction]] = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        for j in range(i, d):
-            if i == j:
-                raw, err = heights[i].value, heights[i].error
-            else:
-                s = _height_or_zero(E, E.add(points[i], points[j]), n_iter)
-                raw = (s.value - heights[i].value - heights[j].value) / 2
-                err = (s.error + heights[i].error + heights[j].error) / 2
-            snapped = raw.limit_denominator(bound)
-            # distinct rationals with denominator <= bound are at least
-            # 1/bound^2 apart, so the bracket must pin down a single one
-            if abs(snapped - raw) > err + tolf or \
-                    2 * (err + tolf) >= Fraction(1, bound * bound):
-                raise FFECError(
-                    f"Gram entry ({i},{j}) = {raw} is ambiguous within "
-                    f"error {err}; increase n_iter")
-            gram[i][j] = gram[j][i] = snapped
+        gram[i][i] = heights[i]
+        for j in range(i + 1, d):
+            s = canonical_height(E, E.add(points[i], points[j])).value
+            gram[i][j] = gram[j][i] = (s - heights[i] - heights[j]) / 2
     return gram
 
 
@@ -217,24 +413,19 @@ def _gcd_int(a: int, b: int) -> int:
     return a
 
 
-def gram_rank(E: Curve, points, n_iter: int = 6, tol: float = 1e-9) -> int:
-    """Exact rank of the snapped Gram matrix, a lower bound for the
-    Mordell-Weil rank."""
-    return _rational_rank(gram_matrix(E, points, n_iter, tol))
+def gram_rank(E: Curve, points) -> int:
+    """Exact rank of the Gram matrix, a lower bound for the Mordell-Weil
+    rank."""
+    return _rational_rank(gram_matrix(E, points))
 
 
-def is_torsion(E: Curve, P: CurvePoint, n_iter: int = 6,
-               tol: float = 1e-9) -> bool:
-    """Torsion means either some 2^n P hits the point at infinity or the
-    height estimate vanishes within tol AND a multiple bounded by
-    torsion_bound (times a small power of p for the p-part) kills P."""
+def is_torsion(E: Curve, P: CurvePoint) -> bool:
+    """Torsion means the canonical height is 0, confirmed by a multiple
+    bounded by torsion_bound (times a small power of p for the p-part)
+    killing P."""
     if P.is_infinity:
         return True
-    h = canonical_height(E, P, n_iter)
-    if h.value == 0 and h.error == 0 and \
-            E.scalar_mul(2 ** h.iterations, P).is_infinity:
-        return True
-    if h.value >= Fraction(tol) + h.error:
+    if canonical_height(E, P).value:
         return False
     m = torsion_bound(E)
     Q = E.scalar_mul(m, P)
@@ -246,8 +437,7 @@ def is_torsion(E: Curve, P: CurvePoint, n_iter: int = 6,
         if Q.is_infinity:
             return True
     raise TorsionInconclusive(
-        f"height {h.value} (error {h.error}) is below tolerance but "
-        f"{m} p^2 * P is not the identity")
+        f"height 0 but {m} p^2 * P is not the identity")
 
 
 def _multiplicative_generator(F: Fq) -> FqElem:
@@ -301,25 +491,21 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
     return PointFamily(E, d, tuple(points), zeta)
 
 
-def points_report(fam: PointFamily, n_iter: int = 6,
-                  tol: float = 1e-9) -> dict:
-    """Per-point heights, the snapped Gram matrix, its rank, and a kernel
-    basis, with rationals rendered as strings."""
+def points_report(fam: PointFamily) -> dict:
+    """Per-point heights, the Gram matrix, its rank, and a kernel basis,
+    with rationals rendered as strings."""
     t0 = time.time()
     E = fam.curve
     rows = []
     for i, P in enumerate(fam.points):
-        h = canonical_height(E, P, n_iter)
         rows.append({
             "i": i,
             "x": format_ratfunc(P.x, E.var),
             "y": format_ratfunc(P.y, E.var),
             "naive": naive_height(P),
-            "canonical": str(h.value),
-            "error": str(h.error),
-            "iterations": h.iterations,
+            "canonical": str(canonical_height(E, P).value),
         })
-    gram = gram_matrix(E, fam.points, n_iter, tol)
+    gram = gram_matrix(E, fam.points)
     rank = _rational_rank(gram)
     kernel = _kernel_basis(gram)
     return {

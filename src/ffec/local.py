@@ -26,7 +26,6 @@ from .algebra import (
     count_ws_points,
     factor_poly,
     iter_monic_irreducibles,
-    places_up_to,
     poly_roots,
 )
 from .weierstrass import Curve, Transform, minimal_polynomial_model

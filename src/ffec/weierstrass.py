@@ -302,10 +302,6 @@ def invariants(E: Curve) -> Invariants:
     return E.invariants()
 
 
-def apply_transform(E: Curve, tau: Transform) -> Curve:
-    return tau.apply(E)
-
-
 def add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     return E.add(P, Q)
 

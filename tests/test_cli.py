@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from ffec import cli
 from ffec.algebra import field_create
 from ffec.catalog import e1, e7
+from ffec.heights_points import _rational_rank
 from ffec.weierstrass import format_curve_file
 
 TATE_CURVE = """\
@@ -146,10 +148,44 @@ def test_points_rejects_char_2(capsys):
     assert "p > 2" in by_kind(records, "error")[0]["message"]
 
 
+def test_points_p5(capsys):
+    code, records, _ = run(capsys, ["points", "--p", "5"])
+    assert code == 0
+    pts = by_kind(records, "point")
+    assert len(pts) == 6
+    assert all(r["canonical"] == "10/3" and r["naive"] == 9 for r in pts)
+    gram = by_kind(records, "gram")[0]
+    assert gram["matrix"][0][0] == "10/3"
+    assert gram["rank"] == 4
+    kernel = [[Fraction(x) for x in v] for v in gram["kernel"]]
+    want = [[Fraction(x) for x in v]
+            for v in ((1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1))]
+    assert _rational_rank(kernel) == _rational_rank(want) == \
+        _rational_rank(kernel + want) == 2
+
+
 def test_points_rejects_zero_iters(capsys):
+    # the doubling count is gone: --iters is an unknown argument
     code, records, _ = run(capsys, ["points", "--p", "3", "--iters", "0"])
     assert code == 1
-    assert "--iters" in by_kind(records, "error")[0]["message"]
+    assert "unrecognized arguments: --iters 0" in \
+        by_kind(records, "error")[0]["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["points", "--p", "x"], "invalid int value"),
+    (["points", "--p", "3", "--tol", "1"], "unrecognized arguments"),
+    (["berger", "--catalog", "first-example", "--max-place-deg", "2"],
+     "unrecognized arguments"),
+    (["tower", "--curve", "c.curve"], "one of the arguments --d --scan"),
+    ([], "required: subcommand"),
+], ids=["bad-int", "points-tol", "berger-max-place-deg", "tower-no-layer",
+        "no-subcommand"])
+def test_usage_errors_are_records(capsys, argv, message):
+    code, records, _ = run(capsys, argv)
+    assert code == 1
+    assert [r["record"] for r in records] == ["meta", "error", "summary"]
+    assert message in by_kind(records, "error")[0]["message"]
 
 
 def test_points_unknown_family(capsys):

@@ -1,12 +1,23 @@
-"""Naive and canonical heights, Gram ranks, torsion tests, explicit points."""
+"""Naive and canonical heights, Gram ranks, torsion tests, explicit points.
+
+The exact heights are checked against a reference that shares no height
+code with them: h(2^n P) / 4^n by repeated doubling of the x-coordinate,
+bracketed by its distance to the previous iterate.
+"""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 
 from ffec.algebra import FFECError, Poly, RatFunc, field_create, parse_ratfunc
-from ffec.weierstrass import Curve, CurvePoint
+from ffec.weierstrass import (
+    Curve,
+    CurvePoint,
+    Transform,
+    minimal_polynomial_model,
+)
 from ffec import heights_points
 from ffec.heights_points import (
     HeightValue,
@@ -18,12 +29,110 @@ from ffec.heights_points import (
     height_pairing,
     is_torsion,
     legendre_family,
+    local_heights,
     naive_height,
     points_report,
 )
 from ffec.local import torsion_bound
 
 F9 = field_create(3, 2)
+
+# Coordinate degrees grow by a factor of 4 per doubling; this cap keeps a
+# runaway reference from exhausting memory before it exhausts patience.
+DEGREE_CAP = 300_000
+
+
+def _deg(f):
+    return f.degree if f.coeffs else 0
+
+
+def doubling_height(E, P, n_iter=6):
+    """Reference canonical height: (h(2^n P) / 4^n, |that - h(2^(n-1) P) /
+    4^(n-1)|, n) after n = n_iter doublings of x on the polynomial model, or
+    earlier once two steps quadruple the naive height exactly (the error is
+    then 0), or an exact 0 once 2^n P is the point at infinity."""
+    if n_iter < 1:
+        raise ValueError("need at least one doubling")
+    M, tau = minimal_polynomial_model(E)
+    Q = tau.apply_point(P)
+    inv = M.invariants()
+    b2, b4, b6, b8 = (r.num for r in (inv.b2, inv.b4, inv.b6, inv.b8))
+    two = M.field.scalar(2)
+    four = M.field.scalar(4)
+    X, Z = Q.x.num, Q.x.den
+    hs = [max(_deg(X), _deg(Z))]
+    for n in range(1, n_iter + 1):
+        X2, Z2, XZ = X * X, Z * Z, X * Z
+        XZ3, X2Z2 = XZ * Z2, X2 * Z2
+        Xn = X2 * X2 - b4 * X2Z2 - b6 * XZ3 * two - b8 * (Z2 * Z2)
+        Zn = X2 * XZ * four + b2 * X2Z2 + b4 * XZ3 * two + b6 * (Z2 * Z2)
+        if Zn.is_zero():
+            return Fraction(0), Fraction(0), n
+        g = Xn.gcd(Zn)
+        if g.degree > 0:
+            Xn, Zn = Xn.exact_div(g), Zn.exact_div(g)
+        X, Z = Xn, Zn
+        h = max(_deg(X), _deg(Z))
+        if h > DEGREE_CAP:
+            raise FFECError(
+                f"degree budget exceeded at doubling {n}: {h} > {DEGREE_CAP}")
+        hs.append(h)
+        if n >= 2 and hs[-1] > 0 and hs[-1] == 4 * hs[-2] == 16 * hs[-3]:
+            return Fraction(hs[-1], 4 ** n), Fraction(0), n
+    value = Fraction(hs[-1], 4 ** n_iter)
+    return value, abs(value - Fraction(hs[-2], 4 ** (n_iter - 1))), n_iter
+
+
+def assert_in_bracket(E, P, n_iter):
+    h = canonical_height(E, P).value
+    value, error, _ = doubling_height(E, P, n_iter)
+    assert abs(h - value) <= error, (P, h, value, error)
+    return h
+
+
+def _curve(p, e, **coeffs):
+    F = field_create(p, e)
+    return Curve(F, **{k: parse_ratfunc(v, F) for k, v in coeffs.items()})
+
+
+def _polys(F, deg):
+    els = list(F.elements())
+    for cs in itertools.product(els, repeat=deg + 1):
+        yield Poly(F, cs)
+
+
+def brute_force_points(E, dx=2, dy=3):
+    """Every point with polynomial x of degree <= dx and y of degree <= dy,
+    found by matching values at every t in F before the exact check."""
+    F = E.field
+    ts = list(F.elements())
+    a1, a2, a3, a4, a6 = ([c.evaluate(t) for t in ts] for c in E.coeffs)
+    ys = [(Y, [Y.evaluate(t) for t in ts]) for Y in _polys(F, dy)]
+    found = []
+    for X in _polys(F, dx):
+        xs = [X.evaluate(t) for t in ts]
+        lin = [a1[i] * x + a3[i] for i, x in enumerate(xs)]
+        rhs = [x * x * x + a2[i] * x * x + a4[i] * x + a6[i]
+               for i, x in enumerate(xs)]
+        for Y, yv in ys:
+            if all(y * y + lin[i] * y == rhs[i] for i, y in enumerate(yv)):
+                P = CurvePoint(RatFunc(X), RatFunc(Y))
+                if E.on_curve(P):
+                    found.append(P)
+    return found
+
+
+# fibers from Tate's algorithm, as listed by local.bad_reduction
+ADDITIVE_CURVES = [
+    ((5, 1), {"a6": "t^3 + t^2"}),                      # I0*, IV, II
+    ((5, 1), {"a4": "t^3", "a6": "t^2"}),               # III, IV, I5
+    ((2, 1), {"a3": "t^2", "a4": "t", "a6": "t^3 + 1"}),  # IV, III
+    ((2, 2), {"a3": "t^2", "a4": "t", "a6": "t^3 + 1"}),
+    ((2, 1), {"a1": "1", "a6": "t^3"}),                 # I0*, I3
+    ((2, 2), {"a1": "1", "a6": "t^3"}),
+    ((2, 2), {"a1": "t", "a2": "1", "a6": "t^2"}),      # I4, I0*
+    ((3, 1), {"a2": "1", "a4": "t^2", "a6": "t^3"}),    # I0*, I3, I1
+]
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +157,11 @@ def test_naive_height_examples(fam31):
 
 def test_canonical_height_guards(fam31):
     E = fam31.curve
+    assert canonical_height(E, CurvePoint()) == HeightValue(0, 0, 0)
+    h = canonical_height(E, fam31.points[0])
+    assert h.error == 0 and h.iterations == 0
     with pytest.raises(ValueError):
-        canonical_height(E, CurvePoint())
-    with pytest.raises(ValueError):
-        canonical_height(E, fam31.points[0], n_iter=0)
+        doubling_height(E, fam31.points[0], n_iter=0)
 
 
 def test_canonical_height_fixture(fam31):
@@ -74,18 +184,23 @@ def test_double_quadruples_height(fam31):
 
 
 def test_two_torsion_short_circuit():
+    # (0, 0) is 2-torsion: psi2 vanishes identically, so v(psi2) is infinite
+    # at the I6 fiber at t and at the I6* fiber at infinity
     F5 = field_create(5)
     t = RatFunc.t(F5)
     E = Curve(F5, a2=1 + t ** 3, a4=t ** 3)
-    h = canonical_height(E, _pt(F5, "0"))
-    assert h == HeightValue(Fraction(0), Fraction(0), 1)
-    assert is_torsion(E, _pt(F5, "0"))
+    P = _pt(F5, "0")
+    assert canonical_height(E, P) == HeightValue(Fraction(0), Fraction(0), 0)
+    assert doubling_height(E, P)[:2] == (0, 0)
+    cases = {repr(v): case for v, case, _ in local_heights(E, P)[0]}
+    assert cases["t"] == "b" and cases["inf"] == "d"
+    assert is_torsion(E, P)
 
 
 def test_degree_budget(fam31, monkeypatch):
-    monkeypatch.setattr(heights_points, "DEGREE_CAP", 50)
+    monkeypatch.setattr(sys.modules[__name__], "DEGREE_CAP", 50)
     with pytest.raises(FFECError, match="degree budget"):
-        canonical_height(fam31.curve, fam31.points[0])
+        doubling_height(fam31.curve, fam31.points[0])
 
 
 def test_pairing_values(fam31):
@@ -121,8 +236,13 @@ def test_gram_single_point(fam31):
 
 
 def test_gram_ambiguous_without_iterations(fam31):
-    with pytest.raises(FFECError, match="ambiguous"):
-        gram_matrix(fam31.curve, fam31.points, n_iter=1)
+    # one doubling brackets hhat(P_0) too loosely to single out a rational
+    # of denominator <= 4 d^2, which the exact height does not need
+    E, pts = fam31.curve, fam31.points
+    value, error, _ = doubling_height(E, pts[0], n_iter=1)
+    bound = 4 * fam31.d ** 2
+    assert 2 * error >= Fraction(1, bound * bound)
+    assert abs(gram_matrix(E, pts)[0][0] - value) <= error
 
 
 def test_relation_sums_are_torsion(fam31):
@@ -161,9 +281,12 @@ def test_height_zero_iff_torsion(fam31):
 
 
 def test_torsion_inconclusive_is_distinct(fam31, monkeypatch):
+    # a zero height that no bounded multiple confirms
     monkeypatch.setattr(heights_points, "torsion_bound", lambda E: 1)
+    monkeypatch.setattr(heights_points, "canonical_height",
+                        lambda E, P: HeightValue(Fraction(0), Fraction(0), 0))
     with pytest.raises(TorsionInconclusive):
-        is_torsion(fam31.curve, fam31.points[0], tol=10.0)
+        is_torsion(fam31.curve, fam31.points[0])
 
 
 def test_quasi_parallelogram_defect(fam31):
@@ -213,11 +336,73 @@ def test_legendre_family_p5():
 
 
 def test_points_report_shape(fam31):
-    rep = points_report(fam31, n_iter=6)
+    rep = points_report(fam31)
     assert rep["d"] == 4 and rep["q"] == 9
     assert rep["rank"] == 2
     assert len(rep["points"]) == 4
+    assert set(rep["points"][0]) == {"i", "x", "y", "naive", "canonical"}
     assert rep["points"][0]["naive"] == 5
     assert rep["points"][0]["canonical"] == "3/2"
     assert rep["gram"][0][0] == "3/2"
     assert all(len(v) == 4 for v in rep["kernel"])
+
+
+@pytest.mark.parametrize("p, n_iter", [(3, 6), (5, 4)])
+def test_legendre_heights_in_doubling_bracket(p, n_iter, rng):
+    fam = legendre_family(p)
+    E, pts = fam.curve, fam.points
+    want = {3: Fraction(3, 2), 5: Fraction(10, 3)}[p]
+    for P in pts[:2]:
+        assert assert_in_bracket(E, P, n_iter) == want
+    for _ in range(2):
+        i, j = rng.sample(range(fam.d), 2)
+        assert_in_bracket(E, E.add(pts[i], pts[j]), n_iter)
+        assert_in_bracket(E, E.add(pts[i], E.neg(pts[j])), n_iter)
+
+
+def test_additive_fibers_in_doubling_bracket(rng):
+    """Brute-force points, their doubles, sums and differences on curves
+    with additive fibers; between them they reach every case of
+    Silverman's split."""
+    cases = set()
+    for (p, e), coeffs in ADDITIVE_CURVES:
+        E = _curve(p, e, **coeffs)
+        found = brute_force_points(E)
+        assert found, coeffs
+        base = rng.sample(found, min(3, len(found)))
+        pts = list(base)
+        for P, Q in itertools.combinations(base, 2):
+            pts += [E.add(P, Q), E.add(P, E.neg(Q))]
+        pts += [E.scalar_mul(2, P) for P in base]
+        for P in pts:
+            if P.is_infinity:
+                continue
+            h = assert_in_bracket(E, P, 5)
+            assert h >= 0
+            cases.update(case for _, case, _ in local_heights(E, P)[0])
+    assert cases == {"a", "b", "c", "d"}
+
+
+def test_nonminimal_model_gives_same_heights():
+    """Heights do not depend on the model.  Scaling by u = 1/pi and then
+    translating by a unit leaves a polynomial model that is not minimal at
+    pi, where E has good reduction, or not minimal at infinity."""
+    E = _curve(5, 1, a6="t^3 + t^2")
+    F = E.field
+    found = brute_force_points(E)
+    pts = found + [E.scalar_mul(2, P) for P in found[:2]] + \
+        [E.add(found[0], P) for P in found[1:3]]
+    for u, r, s, w in (("1/(t-2)", "1", "0", "0"),
+                       ("1/(t^2+2)", "t+1", "t", "3"),
+                       ("t^2+t+1", "1", "0", "0")):
+        tau = Transform.make(F, u=parse_ratfunc(u, F)).then(Transform.make(
+            F, r=parse_ratfunc(r, F), s=parse_ratfunc(s, F),
+            w=parse_ratfunc(w, F)))
+        E1 = tau.apply(E)
+        nonminimal = [loc for loc in heights_points._curve_heights(E1).places
+                      if loc.m > 0]
+        assert nonminimal
+        for P in pts:
+            if not P.is_infinity:
+                assert canonical_height(E1, tau.apply_point(P)) == \
+                    canonical_height(E, P)
