@@ -31,10 +31,12 @@ from .weierstrass import (
 )
 from .local import (
     Conductor,
+    CurveAnalysis,
     KodairaType,
     LocalData,
     bad_reduction,
     conductor,
+    curve_analysis,
     fiber_counts,
     nprime_deg,
     tate_type,

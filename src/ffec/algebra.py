@@ -991,6 +991,7 @@ def _np_gcd_prime(field: Fq, a, b):
     while B.size:
         if A.size < B.size:
             A, B = B, A
+            continue
         lo = B.size
         inv = pow(int(B[-1]), p - 2, p)
         for i in range(A.size - lo, -1, -1):
@@ -1029,6 +1030,7 @@ def _np_gcd_quad(field: Fq, a, b):
     while len(B0):
         if len(A0) < len(B0):
             A0, A1, B0, B1 = B0, B1, A0, A1
+            continue
         lo = len(B0)
         linv = mk((bmk(int(B0[-1])), bmk(int(B1[-1])))).inverse()
         for i in range(len(A0) - lo, -1, -1):

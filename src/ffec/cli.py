@@ -39,9 +39,9 @@ from .lfunction import (
     constant_trace,
     l_polynomial,
 )
-from .local import bad_reduction, conductor, nprime_deg
+from .local import curve_analysis, nprime_deg
 from .towers import rank_growth_scan, tower_l
-from .weierstrass import NotEllipticError, classify, parse_curve_file
+from .weierstrass import NotEllipticError, parse_curve_file
 
 _DATA_BUILDERS = {
     "first-example": first_example_data,
@@ -116,7 +116,8 @@ def _emit_l_record(em: Emitter, L, tol: float, cond_deg: int | None = None):
 
 def cmd_analyze(args, em: Emitter, text: str) -> None:
     E = parse_curve_file(text)
-    cls = classify(E)
+    A = curve_analysis(E)
+    cls = A.cls
     em.record("classification", q=E.field.q, var=E.var, curve=repr(E),
               constant=cls.constant, isotrivial=cls.isotrivial,
               height=cls.height)
@@ -134,18 +135,17 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
         em.human(f"constant curve, trace {a}: L is the closed-form rational "
                  f"function; reciprocal factors {C.den_factors}")
         return
-    locs = bad_reduction(E)
-    for ld in locs:
+    for ld in A.bad:
         em.record("localdata", place=repr(ld.place), degree=ld.place.degree,
                   kodaira=str(ld.type), n_v=ld.n_v, f_v=ld.f_v, m_v=ld.m_v,
                   split=ld.split, a_v=ld.a_v, vdelta=ld.vdelta_min)
         em.check(ld.vdelta_min == ld.n_v + ld.m_v - 1,
                  f"Ogg relation fails at {ld.place!r}")
-    cond = conductor(E)
+    cond = A.conductor
     em.record("conductor", deg=cond.deg,
               entries=[[repr(v), n] for v, n in cond.entries],
-              nprime_deg=nprime_deg(E))
-    em.human(f"height {cls.height}, {len(locs)} bad places, "
+              nprime_deg=A.nprime_deg)
+    em.human(f"height {cls.height}, {len(A.bad)} bad places, "
              f"conductor degree {cond.deg}")
     L = l_polynomial(E, args.max_place_deg)
     _emit_l_record(em, L, args.tol, cond_deg=cond.deg)

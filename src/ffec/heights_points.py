@@ -32,16 +32,14 @@ from .algebra import (
     FFECError,
     Fq,
     FqElem,
-    Place,
     Poly,
     RatFunc,
     _int_factor,
-    factor_poly,
     field_create,
     format_ratfunc,
 )
-from .local import minimal_model_at, tate_type, torsion_bound
-from .weierstrass import Curve, CurvePoint, Transform, minimal_polynomial_model
+from .local import LocalData, curve_analysis, minimal_model_at, torsion_bound
+from .weierstrass import Curve, CurvePoint, Transform
 
 FAMILY_CAP = 2 ** 16
 
@@ -128,9 +126,9 @@ class _Local:
     both integral at v; the transform from there to E_v has u = e^m * unit.
     """
 
-    def __init__(self, M: Curve, v: Place, h: int):
+    def __init__(self, M: Curve, ld: LocalData, h: int):
+        v = ld.place
         model, tau = minimal_model_at(M, v)
-        ld = tate_type(M, v)
         self.place = v
         self.deg = v.degree
         self.infinite = v.is_infinite
@@ -292,13 +290,10 @@ class _CurveHeights:
 
 @functools.lru_cache(maxsize=16)
 def _curve_heights(E: Curve) -> _CurveHeights:
-    M, tau = minimal_polynomial_model(E)
-    _, fac = factor_poly(M.invariants().delta.num)
-    h = max(-(-int(a.num.degree) // i)
-            for i, a in zip((1, 2, 3, 4, 6), M.coeffs) if a)
-    places = [Place.infinite(M.field)] + [Place.finite(g) for g, _ in fac]
+    A = curve_analysis(E)
+    M, tau = A.cls.model, A.cls.transform
     return _CurveHeights(None if tau.is_identity() else tau,
-                         tuple(_Local(M, v, h) for v in places))
+                         tuple(_Local(M, ld, A.cls.height) for ld in A.local))
 
 
 def local_heights(E: Curve, P: CurvePoint):

@@ -6,16 +6,19 @@ absolute value q.  We compute it by expanding the Euler product as a
 truncated integer power series through degree N + SLACK and then checking
 that every coefficient above degree N vanishes.
 
-Places dividing the discriminant, and infinity, take their factors from
-Tate's algorithm.  The good places are handled one degree d at a time:
-every place of degree d has a residue field isomorphic to one field
-K = F_{q^d}, built once per (F_q, d) and cached with its Zech table, and
-the places are the Frobenius orbits of size d on K, enumerated as orbits of
-k -> qk mod (q^d - 1) on exponents of K's generator (all of F_q, 0 included,
-for d = 1).  The model's coefficients are evaluated at one element of each
-orbit in exponent arithmetic and its points counted over K.  For each
-degree, the good orbits plus the bad places must number place_count(q, d),
-which cross-checks the evaluation against the factored discriminant.
+Places dividing the discriminant of the minimal model, and infinity, take
+their factors from the curve's one analysis (local.curve_analysis), which
+ran Tate's algorithm there.  Before any point is counted, a product that
+would need places with q^d above PLACE_CAP raises CapError.  The good places
+are handled one degree d at a time: every place of degree d has a residue
+field isomorphic to one field K = F_{q^d}, built once per (F_q, d) and
+cached with its Zech table, and the places are the Frobenius orbits of size
+d on K, enumerated as orbits of k -> qk mod (q^d - 1) on exponents of K's
+generator (all of F_q, 0 included, for d = 1).  The model's coefficients
+are evaluated at one element of each orbit in exponent arithmetic and its
+points counted over K.  For each degree, the good orbits plus the bad places
+must number place_count(q, d), which cross-checks the evaluation against
+the factored discriminant.
 
 Constant curves have a closed-form rational L-function instead (constant_l)
 and an independent per-degree Euler product (constant_euler_series) used to
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -38,14 +40,13 @@ from .algebra import (
     Fq,
     Place,
     Poly,
-    factor_poly,
     field_create,
     count_ws_points,
     iter_monic_irreducibles,
     place_count,
 )
-from .weierstrass import Curve, classify, constant_embedding, minimal_polynomial_model
-from .local import LocalData, conductor, fiber_table_row, tate_type
+from .weierstrass import Curve, constant_embedding
+from .local import curve_analysis, fiber_table_row
 
 SLACK = 4
 
@@ -100,27 +101,6 @@ def _absorb_mult(series, d: int, a: int):
     """Multiply the series, in place, by 1/(1 - a T^d)."""
     for i in range(d, len(series)):
         series[i] += a * series[i - d]
-
-
-def euler_factor(E: Curve, v: Place) -> tuple:
-    """The local Euler factor at v as integer coefficients in T.
-
-    Good reduction gives 1 - a_v T^d + q_v T^2d, multiplicative reduction
-    1 - a_v T^d, additive reduction 1 (d = deg v).
-    """
-    ld = tate_type(E, v)
-    d = v.degree
-    if ld.type.is_good:
-        if ld.a_v is None:
-            raise CapError(f"cannot count points at {v!r}: q_v = {v.qv}")
-        out = [0] * (2 * d + 1)
-        out[0], out[d], out[2 * d] = 1, -ld.a_v, v.qv
-        return tuple(out)
-    if ld.type.is_multiplicative:
-        out = [0] * (d + 1)
-        out[0], out[d] = 1, -ld.a_v
-        return tuple(out)
-    return (1,)
 
 
 # ---------------------------------------------------------------------------
@@ -262,60 +242,56 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
     Expands the Euler product over all places of degree <= max_place_deg
     (default N + 4) and extracts the degree-N polynomial; the coefficients
     above N must vanish, which re-confirms N = deg(conductor) - 4.  Places
-    dividing the discriminant, and infinity, go through Tate's algorithm;
-    the good places of degree d are the Frobenius orbits of the shared
-    degree-d field (_degree_field, _place_orbits), where the model is
-    evaluated by Zech logarithms and its points counted.  Per degree, the
-    good orbits plus the bad places must number place_count(q, d).  When
-    the coefficients of E lie in a proper subfield the product is computed
-    there and the inverse roots are raised to the matching power, which
-    avoids point counts over residue fields beyond the cap (descend=False
-    forces the direct product, for cross-checking).
+    dividing the discriminant, and infinity, take their factors from
+    curve_analysis; the good places of degree d are the Frobenius orbits of
+    the shared degree-d field (_degree_field, _place_orbits), where the
+    model is evaluated by Zech logarithms and its points counted.  Per
+    degree, the good orbits plus the bad places must number
+    place_count(q, d).  When the coefficients of E lie in a proper subfield
+    the product is computed there and the inverse roots are raised to the
+    matching power, which avoids point counts over residue fields beyond
+    the cap (descend=False forces the direct product, for cross-checking).
     """
-    cls = classify(E)
-    if cls.constant:
-        raise FFECError("constant curve: L is a rational function, use constant_l")
     if descend:
         ep = _subfield_exponent(E)
         if ep < E.field.e:
             down = l_polynomial(_descend_curve(E, ep), max_place_deg)
             return _extend_inverse_roots(down, E.field.e // ep)
+    A = curve_analysis(E)
+    if A.cls.constant:
+        raise FFECError("constant curve: L is a rational function, use constant_l")
 
     F = E.field
     q = F.q
-    N = conductor(E).deg - 4
+    N = A.conductor.deg - 4
     if N < 0:
         raise FFECError(f"conductor degree {N + 4} is impossible for a non-constant curve")
     order = N + SLACK if max_place_deg is None else max_place_deg
     if order < N:
         raise FFECError(f"max_place_deg={order} cannot resolve a degree-{N} polynomial")
+    if q ** order > PLACE_CAP:
+        d = next(d for d in range(1, order + 1) if q ** d > PLACE_CAP)
+        raise CapError(f"cannot count points at places of degree {d}: q_v = {q ** d}")
 
-    M, _ = minimal_polynomial_model(E)
+    M = A.cls.model
     delta = M.invariants().delta.num
-    _, fac = factor_poly(delta)
-    bad = [Place.infinite(F)] + [Place.finite(g) for g, _ in fac]
-
     series = [0] * (order + 1)
     series[0] = 1
     n_bad = [0] * (order + 1)
-    for v in bad:
+    for ld in A.local:
+        v = ld.place
         d = v.degree
         if d > order:
             continue
         if not v.is_infinite:
             n_bad[d] += 1
-        ld = tate_type(M, v)
         if ld.type.is_good:
-            if ld.a_v is None:
-                raise CapError(f"cannot count points at {v!r}: q_v = {v.qv}")
             _absorb_good(series, d, ld.a_v, v.qv)
         elif ld.type.is_multiplicative:
             _absorb_mult(series, d, ld.a_v)
 
     for d in range(1, order + 1):
         qv = q ** d
-        if qv > PLACE_CAP:
-            raise CapError(f"cannot count points at places of degree {d}: q_v = {qv}")
         K = _degree_field(F, d)
         zt = K.zech()
         Z, exp, zero = zt.zech, zt.exp, K.zero
@@ -403,15 +379,8 @@ def constant_euler_series(E: Curve, order: int):
     by degrees: all places of degree d share the trace a_d, which follows
     the Weil recurrence a_d = a*a_{d-1} - q*a_{d-2}.  The factor for each
     degree is raised to the place count by squaring, so large q stay cheap."""
-    cls = classify(E)
-    if not cls.constant:
-        raise FFECError("curve is not constant")
-    E0 = cls.model
-    F = E.field
-    q = F.q
-    cs = [r.num.coeffs[0] if r.num.coeffs else F.zero for r in E0.coeffs]
-    a = q + 1 - count_ws_points(F, *cs)
-
+    a = constant_trace(E)
+    q = E.field.q
     series = [0] * (order + 1)
     series[0] = 1
     s_prev2, s_prev = 2, a
@@ -438,7 +407,7 @@ def constant_euler_series(E: Curve, order: int):
 
 def constant_trace(E: Curve) -> int:
     """q + 1 - #E0(F_q) for the constant model of a constant curve."""
-    cls = classify(E)
+    cls = curve_analysis(E).cls
     if not cls.constant:
         raise FFECError("curve is not constant")
     cs = [r.num.coeffs[0] if r.num.coeffs else E.field.zero for r in cls.model.coeffs]
@@ -570,7 +539,7 @@ def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:
     with (a, b, f, g) from the fiber table and d = deg v.  The pole order
     at T = 1/q must come out as 2 + sum(f_v - 1) + analytic_rank(L)."""
     q = L.q
-    if not local and not classify(E).constant:
+    if not local and not curve_analysis(E).cls.constant:
         raise FFECError("a non-constant curve must have bad fibers")
     num: dict = {}
     den: dict = {}
@@ -608,33 +577,3 @@ def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:
         raise FFECError(
             f"pole order {Z.pole_order()} at T=1/q, expected {expect}")
     return Z
-
-
-# ---------------------------------------------------------------------------
-# one-line record for reports
-
-def lreport(E: Curve, max_place_deg: int | None = None, tol: float = 1e-9) -> dict:
-    """A JSON-ready record of the L-function computation for one curve."""
-    t0 = time.perf_counter()
-    cls = classify(E)
-    if cls.constant:
-        a = constant_trace(E)
-        C = constant_l(a, E.field.q)
-        return {
-            "constant": True,
-            "q": E.field.q,
-            "trace": a,
-            "l_reciprocal_factors": [list(f) for f in C.den_factors],
-            "seconds": time.perf_counter() - t0,
-        }
-    L = l_polynomial(E, max_place_deg)
-    return {
-        "constant": False,
-        "q": L.q,
-        "N": L.N,
-        "coeffs": list(L.coeffs),
-        "epsilon": check_functional_equation(L),
-        "analytic_rank": analytic_rank(L),
-        "rh": check_rh(L, tol),
-        "seconds": time.perf_counter() - t0,
-    }

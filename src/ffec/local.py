@@ -7,6 +7,11 @@ quadratics and cubic) go through polynomial factorization over the residue
 field, which keeps the characteristic-2 and -3 paths on the same code as the
 generic case.  The place at infinity is handled on the s = 1/t chart and the
 resulting transform is pulled back.
+
+curve_analysis runs it once per curve, at infinity and at the factors of
+the discriminant of the polynomial minimal model; the bad places, the
+conductor and nprime_deg are read from that record, as are the bad Euler
+factors of the L-function and the places of the local heights.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .algebra import (
     iter_monic_irreducibles,
     poly_roots,
 )
-from .weierstrass import Curve, Transform, minimal_polynomial_model
+from .weierstrass import Classification, Curve, Transform, classify
 
 
 class UndefinedRowError(FFECError):
@@ -444,47 +449,56 @@ def minimal_model_at(E: Curve, v: Place):
     return model, ld.transform_used
 
 
-def count_points_good(E: Curve, v: Place) -> int:
-    """a_v = q_v + 1 - #E(kappa_v) at a place of good reduction."""
-    if v.qv > PLACE_CAP:
-        raise CapError(f"q_v = {v.qv} exceeds the counting cap {PLACE_CAP}")
-    ld = tate_type(E, v)
-    if not ld.type.is_good:
-        raise FFECError(f"reduction at {v!r} is {ld.type}, not good")
-    return ld.a_v
+@dataclasses.dataclass(frozen=True)
+class CurveAnalysis:
+    """The local data of one curve and what follows from it.
+
+    cls is the classification, which carries the polynomial minimal model
+    M and the transform to it; local holds Tate's algorithm at infinity and
+    at every factor of Delta(M), in canonical order.  Every other place is
+    good, since M is integral there and Delta(M) a unit.  bad keeps the
+    places with positive conductor exponent, and nprime_deg is the
+    conductor degree less the tame parts at t = 0 and infinity.
+    """
+
+    cls: Classification
+    local: tuple
+    bad: tuple
+    conductor: Conductor
+    nprime_deg: int
+
+
+@functools.lru_cache(maxsize=16)
+def curve_analysis(E: Curve) -> CurveAnalysis:
+    """Classify E and run Tate's algorithm once at each candidate place."""
+    cls = classify(E)
+    M = cls.model
+    F = E.field
+    _, fac = factor_poly(M.invariants().delta.num)
+    places = [Place.infinite(F)] + [Place(F, g, _checked=True) for g, _ in fac]
+    local = tuple(tate_type(M, v) for v in places)
+    bad = tuple(ld for ld in local if ld.n_v > 0)
+    cond = Conductor(tuple((ld.place, ld.n_v) for ld in bad))
+    t = Poly.x(F)
+    tame = sum(ld.tame for ld in local
+               if ld.place.is_infinite or ld.place.poly == t)
+    return CurveAnalysis(cls, local, bad, cond, cond.deg - tame)
 
 
 def bad_reduction(E: Curve):
-    """LocalData at every place of bad reduction, canonical order.  The
-    model examined is the content-stripped polynomial model, so candidate
-    places are the support of its discriminant plus infinity."""
-    M, _ = minimal_polynomial_model(E)
-    delta = M.invariants().delta
-    _, fac = factor_poly(delta.num)
-    places = [Place.infinite(E.field)]
-    places.extend(Place.finite(g) for g, _ in fac)
-    places.sort(key=lambda v: v.key())
-    out = []
-    for v in places:
-        ld = tate_type(M, v)
-        if ld.n_v > 0:
-            out.append(ld)
-    return tuple(out)
+    """LocalData at every place of bad reduction, canonical order."""
+    return curve_analysis(E).bad
 
 
 def conductor(E: Curve) -> Conductor:
     """The conductor divisor of E."""
-    return Conductor(tuple((ld.place, ld.n_v) for ld in bad_reduction(E)))
+    return curve_analysis(E).conductor
 
 
 def nprime_deg(E: Curve) -> int:
     """deg of the conductor with the tame parts at t = 0 and infinity
     removed."""
-    M, _ = minimal_polynomial_model(E)
-    deg = conductor(E).deg
-    zero = Place.finite(Poly.x(E.field))
-    inf = Place.infinite(E.field)
-    return deg - tate_type(M, zero).tame - tate_type(M, inf).tame
+    return curve_analysis(E).nprime_deg
 
 
 def fiber_table_row(kt: KodairaType, split):
@@ -530,7 +544,7 @@ def fiber_counts(kt: KodairaType, split, qv: int, m: int) -> int:
 def torsion_bound(E: Curve) -> int:
     """A multiple of the order of the prime-to-p torsion subgroup: the
     p-free part of gcd(#E(kappa_v)) over the first two good places."""
-    M, _ = minimal_polynomial_model(E)
+    M = curve_analysis(E).cls.model
     F = E.field
     p = F.p
     orders = []

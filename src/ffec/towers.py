@@ -17,8 +17,6 @@ import dataclasses
 import math
 from fractions import Fraction
 
-import sympy
-
 from .algebra import CapError, FFECError, PLACE_CAP, mult_order
 from .weierstrass import Curve, base_change_pow, extend_constants
 from .local import nprime_deg
@@ -303,7 +301,11 @@ def tower_l(E: Curve, d: int, use_mu_d: bool = False,
 
 
 def factor_degrees(L: LPoly):
-    """Degrees (with multiplicity) of the irreducible rational factors."""
+    """Degrees (with multiplicity) of the irreducible rational factors.
+    sympy is imported here, its only use, so loading ffec does not pay
+    for it."""
+    import sympy
+
     T = sympy.symbols("T")
     poly = sympy.Poly(sum(c * T ** i for i, c in enumerate(L.coeffs)), T)
     _, fl = poly.factor_list()
@@ -324,6 +326,8 @@ def rank_growth_scan(E: Curve, n_max: int,
     extension of degree mult_order(q, d), so L over K_d follows by raising
     the inverse roots of L over F_d to that power.
     """
+    if n_max < 1:
+        raise ValueError(f"the scan needs n_max >= 1, not {n_max}")
     q = E.field.q
     npd = nprime_deg(E)
     warning = None
@@ -355,10 +359,10 @@ def rank_growth_scan(E: Curve, n_max: int,
         c_n = Fraction(d, 2 * n) - ranks["F_d"]
         c_obs = c_n if c_obs is None else max(c_obs, c_n)
     for row in rows:
-        row["c_obs"] = float(c_obs) if c_obs is not None else None
+        row["c_obs"] = float(c_obs)
     return {
         "rows": rows,
-        "c_obs": float(c_obs) if c_obs is not None else None,
+        "c_obs": float(c_obs),
         "nprime_deg": npd,
         "warning": warning,
     }

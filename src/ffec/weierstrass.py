@@ -12,6 +12,7 @@ from .algebra import (
     Fq,
     FqElem,
     ParseError,
+    Place,
     Poly,
     RatFunc,
     factor_poly,
@@ -295,25 +296,6 @@ class Transform:
         return Transform(iu, -r * iu2, -s * iu, (r * s - w) * iu2 * iu)
 
 
-# module-level forms of the curve operations
-
-
-def invariants(E: Curve) -> Invariants:
-    return E.invariants()
-
-
-def add(E: Curve, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-    return E.add(P, Q)
-
-
-def neg(E: Curve, P: CurvePoint) -> CurvePoint:
-    return E.neg(P)
-
-
-def scalar_mul(E: Curve, n: int, P: CurvePoint) -> CurvePoint:
-    return E.scalar_mul(n, P)
-
-
 # classification --------------------------------------------------------------
 
 
@@ -345,7 +327,6 @@ def minimal_polynomial_model(E: Curve) -> tuple[Curve, Transform]:
     field = E.field
     u = RatFunc.one(field)
     for g in _coefficient_primes(E):
-        from .algebra import Place
         v = Place(field, g, _checked=True)
         e = None
         for i, ai in zip((1, 2, 3, 4, 6), E.coeffs):

@@ -219,6 +219,31 @@ def test_factor_poly_roundtrip(rng):
             assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("p, e", [(3, 1), (3, 2)])
+def test_gcd_with_zero_on_the_array_paths(p, e, rng):
+    # degree 70 takes the numpy gcd paths (64 coefficients or more)
+    F = field_create(p, e)
+    f = rand_poly(F, 70, rng)
+    while f.degree != 70:
+        f = rand_poly(F, 70, rng)
+    zero = Poly.zero(F)
+    for g in (zero.gcd(f), f.gcd(zero)):
+        assert g.lc() is F.one
+        assert Poly.const(f.lc()) * g == f
+
+
+@pytest.mark.parametrize("n", [71, 73])
+def test_factor_binomials_past_the_array_threshold(n):
+    F2 = field_create(2)
+    f = parse_poly(f"t^{n}+1", F2)
+    unit, fac = factor_poly(f)
+    prod = Poly.const(unit)
+    for g, ex in fac:
+        assert is_irreducible(g)
+        prod = prod * g ** ex
+    assert prod == f
+
+
 def test_factor_repeated_and_pth_powers():
     F2 = field_create(2)
     f = parse_poly("t^4+t^3+t+1", F2)

@@ -1,13 +1,18 @@
+import collections
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from ffec import cli
+import ffec
+from ffec import cli, local, weierstrass
 from ffec.algebra import field_create
 from ffec.catalog import e1, e7
 from ffec.heights_points import _rational_rank
-from ffec.weierstrass import format_curve_file
+from ffec.weierstrass import base_change_pow, format_curve_file
 
 TATE_CURVE = """\
 p = 5
@@ -186,6 +191,54 @@ def test_usage_errors_are_records(capsys, argv, message):
     assert code == 1
     assert [r["record"] for r in records] == ["meta", "error", "summary"]
     assert message in by_kind(records, "error")[0]["message"]
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_empty_scan_is_an_error(e7_file, capsys, n_max):
+    code, records, _ = run(capsys, ["tower", "--curve", e7_file, "--scan", n_max])
+    assert code == 1
+    assert [r["record"] for r in records] == ["meta", "error", "summary"]
+    assert "n_max >= 1" in by_kind(records, "error")[0]["message"]
+
+
+def test_analyze_runs_one_analysis(tmp_path, capsys, monkeypatch):
+    # e7 at t = u^5 over F_2 has four candidate places: inf, u, u + 1 and
+    # one of degree 4
+    E = base_change_pow(e7(field_create(2)), 5)
+    f = tmp_path / "e7u5.curve"
+    f.write_text(format_curve_file(E))
+    delta = weierstrass.minimal_polynomial_model(E)[0].invariants().delta.num
+    seen = collections.defaultdict(list)
+
+    def spy(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            seen[name].append(args)
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(weierstrass, "minimal_polynomial_model")
+    spy(local, "factor_poly")
+    spy(local, "tate_type")
+    local.curve_analysis.cache_clear()
+    code, records, _ = run(capsys, ["analyze", "--curve", str(f)])
+    assert code == 0
+    assert by_kind(records, "conductor")[0]["deg"] == 8
+    assert len(seen["minimal_polynomial_model"]) == 1
+    assert sum(g == delta for g, in seen["factor_poly"]) == 1
+    assert sorted(repr(v) for _, v in seen["tate_type"]) == \
+        ["inf", "t", "t+1", "t^4+t^3+t^2+t+1"]
+
+
+def test_import_leaves_sympy_out():
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ffec, ffec.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_points_unknown_family(capsys):

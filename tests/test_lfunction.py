@@ -27,7 +27,7 @@ from ffec.weierstrass import (
     minimal_polynomial_model,
 )
 from ffec import catalog
-from ffec.local import UndefinedRowError, bad_reduction, conductor
+from ffec.local import UndefinedRowError, bad_reduction, conductor, tate_type
 from ffec.lfunction import (
     LPoly,
     _degree_field,
@@ -38,9 +38,7 @@ from ffec.lfunction import (
     constant_euler_series,
     constant_l,
     constant_trace,
-    euler_factor,
     l_polynomial,
-    lreport,
     surface_zeta,
     _extend_inverse_roots,
     _from_power_sums,
@@ -232,14 +230,6 @@ def test_surface_zeta_undefined_row():
         surface_zeta(E, L, bad_reduction(E))
 
 
-def test_lreport_shapes():
-    rep = lreport(Curve(F5, a6=1))
-    assert rep["constant"] and rep["q"] == 5 and rep["trace"] == 0
-    rep = lreport(catalog.e7(F2))
-    assert not rep["constant"]
-    assert rep["N"] == 0 and rep["coeffs"] == [1] and rep["rh"] is True
-
-
 def test_power_sum_roundtrip(rng):
     for _ in range(50):
         n = rng.randrange(1, 6)
@@ -261,6 +251,23 @@ def test_rank_bounded_by_degree():
 
 # ---------------------------------------------------------------------------
 # the per-degree Euler product against a place-by-place reference
+
+def euler_factor(E, v):
+    """The local Euler factor at v as integer coefficients in T: good
+    reduction gives 1 - a_v T^d + q_v T^2d, multiplicative reduction
+    1 - a_v T^d, additive reduction 1 (d = deg v)."""
+    ld = tate_type(E, v)
+    d = v.degree
+    if ld.type.is_good:
+        out = [0] * (2 * d + 1)
+        out[0], out[d], out[2 * d] = 1, -ld.a_v, v.qv
+        return tuple(out)
+    if ld.type.is_multiplicative:
+        out = [0] * (d + 1)
+        out[0], out[d] = 1, -ld.a_v
+        return tuple(out)
+    return (1,)
+
 
 def _reference_series(E, order):
     """The Euler product to the given order, place by place: every good
@@ -353,4 +360,14 @@ def test_tail_check(monkeypatch):
 def test_place_cap(monkeypatch):
     monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 3)
     with pytest.raises(CapError, match="degree 4"):
+        l_polynomial(crit2_curve(), max_place_deg=4)
+
+
+def test_place_cap_before_counting(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a point was counted before the cap check")
+
+    monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 2)
+    monkeypatch.setattr(lfunction, "count_ws_points", fail)
+    with pytest.raises(CapError, match="degree 3: q_v = 125"):
         l_polynomial(crit2_curve(), max_place_deg=4)

@@ -7,7 +7,6 @@ import pytest
 from ffec import catalog
 from ffec.algebra import (
     CapError,
-    FFECError,
     Place,
     Poly,
     RatFunc,
@@ -21,7 +20,6 @@ from ffec.local import (
     UndefinedRowError,
     bad_reduction,
     conductor,
-    count_points_good,
     fiber_counts,
     fiber_table_row,
     minimal_model_at,
@@ -292,12 +290,11 @@ def test_split_upgrade_under_constant_extension():
 
 def test_count_points_good():
     E0 = Curve(F5, a6=RatFunc.one(F5))
-    assert count_points_good(E0, Place.finite(Poly(F5, [1, 1]))) == 0
-    assert count_points_good(E0, Place.infinite(F5)) == 0
+    assert tate_type(E0, Place.finite(Poly(F5, [1, 1]))).a_v == 0
+    assert tate_type(E0, Place.infinite(F5)).a_v == 0
     E = Curve(F3, a4=RatFunc.one(F3))
-    assert count_points_good(E, Place.finite(Poly(F3, [1, 1]))) == 0
-    with pytest.raises(FFECError):
-        count_points_good(catalog.e7(F2), t_place(F2))
+    assert tate_type(E, Place.finite(Poly(F3, [1, 1]))).a_v == 0
+    assert not tate_type(catalog.e7(F2), t_place(F2)).type.is_good
 
 
 def test_hasse_bound_low_degree_places():

@@ -151,9 +151,11 @@ def test_scan_k_rows_match_direct_product(fam):
 
 
 def test_scan_warning_even_nprime():
-    F9 = field_create(3, 2)
-    u = parse_ratfunc("u", F9)
-    E = Curve(F9, a1=1, a2=u ** 4, a3=u ** 4, var="u")
-    scan = rank_growth_scan(E, 0)
-    assert scan["warning"] is not None
-    assert scan["rows"] == [] and scan["c_obs"] is None
+    # y^2 + y = x^3 + x + t has nprime degree 2; an empty scan is an error
+    F2 = field_create(2)
+    E = Curve(F2, a3=1, a4=1, a6=parse_ratfunc("t", F2))
+    scan = rank_growth_scan(E, 1)
+    assert scan["warning"] is not None and scan["nprime_deg"] == 2
+    assert [row["d"] for row in scan["rows"]] == [3, 3]
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        rank_growth_scan(E, 0)
