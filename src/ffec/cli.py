@@ -147,14 +147,14 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
               nprime_deg=A.nprime_deg)
     em.human(f"height {cls.height}, {len(A.bad)} bad places, "
              f"conductor degree {cond.deg}")
-    L = l_polynomial(E, args.max_place_deg)
+    L = l_polynomial(E)
     _emit_l_record(em, L, args.tol, cond_deg=cond.deg)
 
 
 def cmd_tower(args, em: Emitter, text: str) -> None:
     E = parse_curve_file(text)
     if args.scan is not None:
-        res = rank_growth_scan(E, args.scan, args.max_place_deg)
+        res = rank_growth_scan(E, args.scan)
         if res["warning"]:
             em.human(f"warning: {res['warning']}")
         for row in res["rows"]:
@@ -165,8 +165,7 @@ def cmd_tower(args, em: Emitter, text: str) -> None:
                   nprime_deg=res["nprime_deg"], warning=res["warning"])
         em.human(f"observed defect c_obs = {res['c_obs']}")
     else:
-        L = tower_l(E, args.d, use_mu_d=args.mu,
-                    max_place_deg=args.max_place_deg)
+        L = tower_l(E, args.d, use_mu_d=args.mu)
         _emit_l_record(em, L, args.tol)
 
 
@@ -246,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--curve", required=True, metavar="FILE",
                        help="curve file (p = , e = , a1 = ... lines)")
-        p.add_argument("--max-place-deg", type=int, default=None, metavar="N",
-                       help="Euler-product cutoff (default: N + 4 for L "
-                            "of degree N)")
         p.add_argument("--tol", type=float, default=1e-9,
                        help="tolerance for the root-size check")
         p.set_defaults(fn=fn)

@@ -24,17 +24,16 @@ local parameter, truncated at the precision the case needs.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
     FFECError,
-    Fq,
     FqElem,
     Poly,
     RatFunc,
-    _int_factor,
     field_create,
     format_ratfunc,
 )
@@ -346,66 +345,48 @@ def gram_matrix(E: Curve, points) -> list[list[Fraction]]:
     return gram
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
+def _row_reduce(rows: list[list[Fraction]]):
+    """The reduced row echelon form of a rational matrix, and its pivot
+    columns."""
     m = [row[:] for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][c]), None)
         if piv is None:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
+        m[top], m[piv] = m[piv], m[top]
+        inv = 1 / m[top][c]
+        m[top] = [x * inv for x in m[top]]
         for r in range(len(m)):
-            if r != rank and m[r][c]:
+            if r != top and m[r][c]:
                 f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        rank += 1
-    return rank
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _rational_rank(rows: list[list[Fraction]]) -> int:
+    return len(_row_reduce(rows)[1])
 
 
 def _kernel_basis(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
     """Primitive integer vectors spanning the rational null space."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    rank = 0
-    for c in range(n):
-        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(c)
-        rank += 1
+    m, pivots = _row_reduce(rows)
+    n = len(m[0]) if m else 0
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for c in free:
+    for c in range(n):
+        if c in pivots:
+            continue
         v = [Fraction(0)] * n
         v[c] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -m[r][c]
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // _gcd_int(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in v))
         ints = [int(x * lcm) for x in v]
-        g = 0
-        for x in ints:
-            g = _gcd_int(g, abs(x))
-        basis.append(tuple(x // g for x in ints) if g else tuple(ints))
+        g = math.gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
     return basis
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gram_rank(E: Curve, points) -> int:
@@ -435,19 +416,6 @@ def is_torsion(E: Curve, P: CurvePoint) -> bool:
         f"height 0 but {m} p^2 * P is not the identity")
 
 
-def _multiplicative_generator(F: Fq) -> FqElem:
-    n = F.q - 1
-    primes = list(_int_factor(n))
-    for c in F.elements():
-        if c and all(c ** (n // l) != F.one for l in primes):
-            return c
-    raise FFECError("no multiplicative generator found")
-
-
-def _scale_var(r: RatFunc, c: FqElem) -> RatFunc:
-    return RatFunc(r.num.scale_var(c), r.den.scale_var(c))
-
-
 def legendre_family(p: int, f: int = 1) -> PointFamily:
     """The curve y^2 + xy + u^d y = x^3 + u^d x^2 over F_{q^2}(u) with
     q = p^f and d = q + 1, together with its d explicit points
@@ -465,7 +433,7 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
     if p ** (2 * f) > FAMILY_CAP:
         raise FFECError(f"constant field F_{p ** (2 * f)} exceeds the cap")
     F = field_create(p, 2 * f)
-    zeta = _multiplicative_generator(F) ** ((F.q - 1) // d)
+    zeta = F.canonical_generator() ** ((F.q - 1) // d)
     u = Poly.x(F)
     E = Curve(F, a1=1, a2=u ** d, a3=u ** d, var="u")
     four_u = Poly(F, (1, 4))
@@ -478,7 +446,7 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
     points = []
     z = F.one
     for i in range(d):
-        P = CurvePoint(_scale_var(x0, z), _scale_var(y0, z))
+        P = CurvePoint(x0.scale_var(z), y0.scale_var(z))
         if not E.on_curve(P):
             raise FFECError(f"family point {i} fails the curve equation")
         points.append(P)

@@ -2,23 +2,27 @@
 
 For a non-constant curve the L-function is a polynomial of degree
 N = deg(conductor) - 4 with constant term 1 whose inverse roots all have
-absolute value q.  We compute it by expanding the Euler product as a
-truncated integer power series through degree N + SLACK and then checking
-that every coefficient above degree N vanishes.
+absolute value q, and it obeys the functional equation
+c_{N-k} = eps q^{N-2k} c_k with eps = +1 or -1.  We expand the Euler product
+as a truncated integer power series one degree at a time, from degree 1,
+until the coefficients fix eps and one more coefficient confirms it (from
+degree N//2 + 1 on, at most N + 1), and fill in the rest from the
+functional equation.
 
 Places dividing the discriminant of the minimal model, and infinity, take
 their factors from the curve's one analysis (local.curve_analysis), which
-ran Tate's algorithm there.  Before any point is counted, a product that
-would need places with q^d above PLACE_CAP raises CapError.  The good places
-are handled one degree d at a time: every place of degree d has a residue
-field isomorphic to one field K = F_{q^d}, built once per (F_q, d) and
-cached with its Zech table, and the places are the Frobenius orbits of size
-d on K, enumerated as orbits of k -> qk mod (q^d - 1) on exponents of K's
-generator (all of F_q, 0 included, for d = 1).  The model's coefficients
-are evaluated at one element of each orbit in exponent arithmetic and its
-points counted over K.  For each degree, the good orbits plus the bad places
-must number place_count(q, d), which cross-checks the evaluation against
-the factored discriminant.
+ran Tate's algorithm there.  The good places are handled one degree d at a
+time: every place of degree d has a residue field isomorphic to one field
+K = F_{q^d}, built once per (F_q, d) and cached with its Zech table, and the
+places are the Frobenius orbits of size d on K, enumerated as orbits of
+k -> qk mod (q^d - 1) on exponents of K's generator (all of F_q, 0
+included, for d = 1).  The model's coefficients are evaluated at one
+element of each orbit in exponent arithmetic and its points counted over K.
+For each degree, the good orbits plus the bad places must number
+place_count(q, d), which cross-checks the evaluation against the factored
+discriminant.  A degree with q^d above PLACE_CAP raises CapError before its
+points are counted, and before any point is counted if the expansion must
+reach it (q^(N//2 + 1) > PLACE_CAP).
 
 Constant curves have a closed-form rational L-function instead (constant_l)
 and an independent per-degree Euler product (constant_euler_series) used to
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -47,8 +52,6 @@ from .algebra import (
 )
 from .weierstrass import Curve, constant_embedding
 from .local import curve_analysis, fiber_table_row
-
-SLACK = 4
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,27 +238,44 @@ def _log_eval(terms, k, M: int, Z) -> int | None:
     return acc
 
 
-def l_polynomial(E: Curve, max_place_deg: int | None = None,
-                 descend: bool = True) -> LPoly:
+def _fe_sign(c, q: int, N: int, d: int):
+    """The sign eps of c_{N-k} = eps q^{N-2k} c_k once c_0 .. c_d settle a
+    degree-N L, else None (always for d <= N//2): the first computed pair
+    with c_k != 0 fixes eps, and at least one further c_j with
+    N/2 < j <= d must obey the equation (c_j = 0 for j > N).  A ratio other than +-1, or a c_j against it,
+    raises FFECError."""
+    k = next((k for k in range(N // 2, max(N - d, 0) - 1, -1) if c[k]), None)
+    if k is None:
+        return None
+    eps = Fraction(c[N - k], q ** (N - 2 * k) * c[k])
+    if eps not in (1, -1):
+        raise FFECError(f"functional equation: c_{N - k} / (q^{N - 2 * k} c_{k}) = {eps}")
+    checked = [j for j in range(N // 2 + 1, d + 1) if j != N - k]
+    for j in checked:
+        want = eps * q ** (2 * j - N) * c[N - j] if j <= N else 0
+        if c[j] != want:
+            raise FFECError(f"functional equation fails at T^{j}: {c[j]} != {want}")
+    return int(eps) if checked else None
+
+
+def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
     """The L-function of a non-constant E over F_q(t), exactly.
 
-    Expands the Euler product over all places of degree <= max_place_deg
-    (default N + 4) and extracts the degree-N polynomial; the coefficients
-    above N must vanish, which re-confirms N = deg(conductor) - 4.  Places
+    Expands the Euler product one degree d at a time, which makes
+    c_0 .. c_d exact, until _fe_sign settles eps (from d = N//2 + 1 on),
+    then fills c_{d+1} .. c_N from the functional equation.  Places
     dividing the discriminant, and infinity, take their factors from
     curve_analysis; the good places of degree d are the Frobenius orbits of
-    the shared degree-d field (_degree_field, _place_orbits), where the
-    model is evaluated by Zech logarithms and its points counted.  Per
-    degree, the good orbits plus the bad places must number
-    place_count(q, d).  When the coefficients of E lie in a proper subfield
-    the product is computed there and the inverse roots are raised to the
-    matching power, which avoids point counts over residue fields beyond
-    the cap (descend=False forces the direct product, for cross-checking).
+    the shared degree-d field, counted as the module docstring describes.
+    When the coefficients of E lie in a proper subfield the product is
+    computed there and the inverse roots are raised to the matching power,
+    which avoids point counts over residue fields beyond the cap
+    (descend=False forces the direct product, for cross-checking).
     """
     if descend:
         ep = _subfield_exponent(E)
         if ep < E.field.e:
-            down = l_polynomial(_descend_curve(E, ep), max_place_deg)
+            down = l_polynomial(_descend_curve(E, ep))
             return _extend_inverse_roots(down, E.field.e // ep)
     A = curve_analysis(E)
     if A.cls.constant:
@@ -266,22 +286,14 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
     N = A.conductor.deg - 4
     if N < 0:
         raise FFECError(f"conductor degree {N + 4} is impossible for a non-constant curve")
-    order = N + SLACK if max_place_deg is None else max_place_deg
-    if order < N:
-        raise FFECError(f"max_place_deg={order} cannot resolve a degree-{N} polynomial")
-    if q ** order > PLACE_CAP:
-        d = next(d for d in range(1, order + 1) if q ** d > PLACE_CAP)
-        raise CapError(f"cannot count points at places of degree {d}: q_v = {q ** d}")
-
-    M = A.cls.model
-    delta = M.invariants().delta.num
-    series = [0] * (order + 1)
-    series[0] = 1
-    n_bad = [0] * (order + 1)
+    # c_0 .. c_{N+1}: the expansion stops by degree N + 1, where c_0 = 1
+    # fixes eps and c_{N+1} = 0 confirms it
+    series = [1] + [0] * (N + 1)
+    n_bad = [0] * (N + 2)
     for ld in A.local:
         v = ld.place
         d = v.degree
-        if d > order:
+        if d > N + 1:
             continue
         if not v.is_infinite:
             n_bad[d] += 1
@@ -290,7 +302,15 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
         elif ld.type.is_multiplicative:
             _absorb_mult(series, d, ld.a_v)
 
-    for d in range(1, order + 1):
+    M = A.cls.model
+    delta = M.invariants().delta.num
+    cap = next(d for d in itertools.count(1) if q ** d > PLACE_CAP)
+    eps = None
+    d = 0
+    while eps is None:
+        d += 1
+        if max(d, N // 2 + 1) >= cap:
+            raise CapError(f"cannot count points at places of degree {cap}: q_v = {q ** cap}")
         qv = q ** d
         K = _degree_field(F, d)
         zt = K.zech()
@@ -311,12 +331,12 @@ def l_polynomial(E: Curve, max_place_deg: int | None = None,
             raise FFECError(
                 f"degree {d}: {good} good orbits and {n_bad[d]} bad places, "
                 f"but F_{q}(t) has {place_count(q, d)} places of that degree")
+        eps = _fe_sign(series, q, N, d)
 
-    if any(series[N + 1:]):
-        raise FFECError(
-            f"Euler product does not truncate at degree {N}: "
-            f"tail {series[N + 1:]} should vanish")
-    return LPoly(tuple(series[: N + 1]), q, N)
+    c = series[: N + 1]
+    for j in range(d + 1, N + 1):
+        c[j] = eps * q ** (2 * j - N) * c[N - j]
+    return LPoly(tuple(c), q, N)
 
 
 # ---------------------------------------------------------------------------

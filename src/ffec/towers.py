@@ -282,8 +282,7 @@ def random_block_system(a: int, w: int, rng) -> BlockSystem:
 # ---------------------------------------------------------------------------
 # L-functions up the tower
 
-def tower_l(E: Curve, d: int, use_mu_d: bool = False,
-            max_place_deg: int | None = None) -> LPoly:
+def tower_l(E: Curve, d: int, use_mu_d: bool = False) -> LPoly:
     """L of E pulled back along t = u^d, over F_q(u) or F_q(mu_d)(u)."""
     if d < 1:
         raise ValueError("d must be positive")
@@ -297,7 +296,7 @@ def tower_l(E: Curve, d: int, use_mu_d: bool = False,
         E2 = extend_constants(E2, m)
     if d > 1:
         E2 = base_change_pow(E2, d)
-    return l_polynomial(E2, max_place_deg)
+    return l_polynomial(E2)
 
 
 def factor_degrees(L: LPoly):
@@ -312,8 +311,7 @@ def factor_degrees(L: LPoly):
     return sorted((int(sympy.degree(f, T)), int(m)) for f, m in fl)
 
 
-def rank_growth_scan(E: Curve, n_max: int,
-                     max_place_deg: int | None = None) -> dict:
+def rank_growth_scan(E: Curve, n_max: int) -> dict:
     """Analytic ranks over F_d and K_d for d = q^n + 1, n = 1..n_max.
 
     Reports the observed constant c_obs = max_n (d/(2n) - rank over F_d),
@@ -337,7 +335,7 @@ def rank_growth_scan(E: Curve, n_max: int,
     c_obs = None
     for n in range(1, n_max + 1):
         d = q ** n + 1
-        L_F = tower_l(E, d, max_place_deg=max_place_deg)
+        L_F = tower_l(E, d)
         L_K = _extend_inverse_roots(L_F, mult_order(q, d))
         ranks = {}
         for fieldname, L in (("F_d", L_F), ("K_d", L_K)):

@@ -34,13 +34,9 @@ def by_kind(records, kind):
 
 
 def test_analyze_full_report(tmp_path, capsys):
-    # a degree-2 place cutoff keeps the Euler product small; the L here has
-    # degree 2, so places of higher degree only feed the slack coefficients
     f = tmp_path / "tate.curve"
     f.write_text(TATE_CURVE)
-    code, records, err = run(capsys,
-                             ["analyze", "--curve", str(f),
-                              "--max-place-deg", "2"])
+    code, records, err = run(capsys, ["analyze", "--curve", str(f)])
     assert code == 0
     meta = by_kind(records, "meta")[0]
     assert meta["command"][0] == "analyze"
@@ -184,8 +180,12 @@ def test_points_rejects_zero_iters(capsys):
      "unrecognized arguments"),
     (["tower", "--curve", "c.curve"], "one of the arguments --d --scan"),
     ([], "required: subcommand"),
+    (["analyze", "--curve", "c.curve", "--max-place-deg", "2"],
+     "unrecognized arguments: --max-place-deg 2"),
+    (["tower", "--curve", "c.curve", "--d", "3", "--max-place-deg", "2"],
+     "unrecognized arguments: --max-place-deg 2"),
 ], ids=["bad-int", "points-tol", "berger-max-place-deg", "tower-no-layer",
-        "no-subcommand"])
+        "no-subcommand", "analyze-max-place-deg", "tower-max-place-deg"])
 def test_usage_errors_are_records(capsys, argv, message):
     code, records, _ = run(capsys, argv)
     assert code == 1

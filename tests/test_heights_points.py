@@ -33,6 +33,7 @@ from ffec.heights_points import (
     naive_height,
     points_report,
 )
+from ffec.lfunction import analytic_rank, l_polynomial
 from ffec.local import torsion_bound
 
 F9 = field_create(3, 2)
@@ -323,7 +324,7 @@ def test_legendre_family_structure(fam31):
     assert fam31.zeta ** 2 != F9.one
     # zeta action: P_{i+1} comes from P_i by u -> zeta u
     for i in range(3):
-        x_next = heights_points._scale_var(fam31.points[i].x, fam31.zeta)
+        x_next = fam31.points[i].x.scale_var(fam31.zeta)
         assert x_next == fam31.points[i + 1].x
 
 
@@ -333,6 +334,15 @@ def test_legendre_family_p5():
     assert fam.curve.field.q == 25
     assert len(fam.points) == 6
     assert all(naive_height(P) == 9 for P in fam.points)
+
+
+@pytest.mark.parametrize("p, rank", [(3, 2), (5, 4)])
+def test_legendre_analytic_rank_is_gram_rank(p, rank):
+    # the rank half of BSD for the family: L over F_{p^2}(u), descended to
+    # F_p, vanishes at T = 1/q to the order of the points' Gram rank
+    fam = legendre_family(p)
+    L = l_polynomial(fam.curve)
+    assert analytic_rank(L) == gram_rank(fam.curve, fam.points) == rank
 
 
 def test_points_report_shape(fam31):

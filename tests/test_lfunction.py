@@ -127,7 +127,7 @@ def test_degree_theorem_catalog():
 
 def test_criterion2_curve_l():
     E = crit2_curve()
-    L = l_polynomial(E, max_place_deg=4)
+    L = l_polynomial(E)
     assert L.N == 2
     assert L.coeffs == (1, 0, -25)
     assert check_functional_equation(L) == -1
@@ -165,9 +165,9 @@ def test_descent_matches_direct_product():
     L = l_polynomial(E)
     assert L.coeffs == (1, 0, 0, 0, -16)
     EK = extend_constants(E, 2)
-    direct = l_polynomial(EK, max_place_deg=4, descend=False)
+    direct = l_polynomial(EK, descend=False)
     assert direct.q == 4
-    assert direct.coeffs == l_polynomial(EK, max_place_deg=4).coeffs
+    assert direct.coeffs == l_polynomial(EK).coeffs
     assert direct.coeffs == _extend_inverse_roots(L, 2).coeffs
 
 
@@ -210,7 +210,7 @@ def test_analytic_rank_examples():
 
 def test_surface_zeta_crit2():
     E = crit2_curve()
-    L = l_polynomial(E, max_place_deg=4)
+    L = l_polynomial(E)
     Z = surface_zeta(E, L, bad_reduction(E))
     # 2 from the two P^1 zetas, 17 from component counts, 1 from the rank
     assert Z.pole_order() == 20
@@ -336,10 +336,12 @@ def test_degree_fields_shared(monkeypatch):
     _degree_field.cache_clear()
     monkeypatch.setattr(algebra.ZechTable, "__init__", counting)
     E = crit2_curve()
-    first = l_polynomial(E, max_place_deg=4)
-    second = l_polynomial(E, max_place_deg=4)
+    first = l_polynomial(E)
+    second = l_polynomial(E)
     assert first == second
-    fields = [_degree_field(F5, d) for d in range(2, 5)]
+    # N = 2 and c_1 = 0: c_2 fixes eps = -1 and c_3 = 0 confirms it
+    assert _degree_field.cache_info().currsize == 3
+    fields = [_degree_field(F5, d) for d in range(2, 4)]
     assert [built[K] for K in fields] == [1] * len(fields)
 
 
@@ -347,27 +349,36 @@ def test_place_count_check(monkeypatch):
     orbits = lfunction._place_orbits
     monkeypatch.setattr(lfunction, "_place_orbits", lambda q, d: orbits(q, d)[1:])
     with pytest.raises(FFECError, match="places of that degree"):
-        l_polynomial(crit2_curve(), max_place_deg=4)
+        l_polynomial(crit2_curve())
 
 
 def test_tail_check(monkeypatch):
+    # one wrong point count: the coefficient past the one that fixes eps,
+    # which the functional equation over-determines, must catch it
     count = lfunction.count_ws_points
-    monkeypatch.setattr(lfunction, "count_ws_points", lambda K, *cs: count(K, *cs) + 1)
-    with pytest.raises(FFECError, match="does not truncate"):
-        l_polynomial(crit2_curve(), max_place_deg=4)
+    calls = []
+
+    def off_by_one(K, *cs):
+        calls.append(K)
+        return count(K, *cs) + (len(calls) == 1)
+
+    monkeypatch.setattr(lfunction, "count_ws_points", off_by_one)
+    with pytest.raises(FFECError, match="functional equation"):
+        l_polynomial(crit2_curve())
 
 
 def test_place_cap(monkeypatch):
-    monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 3)
-    with pytest.raises(CapError, match="degree 4"):
-        l_polynomial(crit2_curve(), max_place_deg=4)
+    # crit2 has N = 2, so it counts degrees N//2 + 1 = 2 and then 3
+    monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 2)
+    with pytest.raises(CapError, match="degree 3: q_v = 125"):
+        l_polynomial(crit2_curve())
 
 
 def test_place_cap_before_counting(monkeypatch):
     def fail(*args):
         raise AssertionError("a point was counted before the cap check")
 
-    monkeypatch.setattr(lfunction, "PLACE_CAP", 5 ** 2)
+    monkeypatch.setattr(lfunction, "PLACE_CAP", 5)
     monkeypatch.setattr(lfunction, "count_ws_points", fail)
-    with pytest.raises(CapError, match="degree 3: q_v = 125"):
-        l_polynomial(crit2_curve(), max_place_deg=4)
+    with pytest.raises(CapError, match="degree 2: q_v = 25"):
+        l_polynomial(crit2_curve())

@@ -20,6 +20,7 @@ from ffec.towers import (
     rank_growth_scan,
     tower_l,
 )
+from test_lfunction import _reference_series
 
 F2 = field_create(2)
 
@@ -145,9 +146,9 @@ def test_scan_k_rows_match_direct_product(fam):
     E = fam(F2)
     rows = {r["field"]: r for r in rank_growth_scan(E, 1)["rows"]}
     EK = base_change_pow(extend_constants(E, mult_order(2, 3)), 3)
-    direct = l_polynomial(EK, max_place_deg=max(rows["K_d"]["N"], 1), descend=False)
-    assert direct.q == rows["K_d"]["q_const"] == 4
-    assert list(direct.coeffs) == rows["K_d"]["l_coeffs"]
+    N = rows["K_d"]["N"]
+    assert rows["K_d"]["q_const"] == 4
+    assert _reference_series(EK, N + 1) == rows["K_d"]["l_coeffs"] + [0]
 
 
 def test_scan_warning_even_nprime():
@@ -159,3 +160,26 @@ def test_scan_warning_even_nprime():
     assert [row["d"] for row in scan["rows"]] == [3, 3]
     with pytest.raises(ValueError, match="n_max >= 1"):
         rank_growth_scan(E, 0)
+
+
+def ulmer_rank(d: int, q: int) -> int:
+    """Rank of y^2 + xy = x^3 - t^d over F_q(t) for d | p^n + 1 (Ulmer,
+    Ann. Math. 155 (2002), Theorem 1.5)."""
+    def phi(n):
+        return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+    total = sum(phi(e) // mult_order(q, e)
+                for e in range(1, d + 1) if d % e == 0 and 6 % e)
+    if d % 2 == 0 and (q - 1) % 4 == 0:
+        total += 1
+    if d % 3 == 0:
+        total += 2 if (q - 1) % 3 == 0 else 1
+    return total
+
+
+@pytest.mark.parametrize("d, rank", [(3, 1), (5, 1), (9, 2), (17, 2)])
+def test_tower_e9_matches_ulmer(d, rank):
+    # e9 is y^2 + xy = x^3 + t, that is x^3 - t over F_2, and d | 2^n + 1;
+    # at d = 17, N = 16 and the expansion stops at degree 9
+    L = tower_l(catalog.e9(F2), d)
+    assert analytic_rank(L) == ulmer_rank(d, 2) == rank
