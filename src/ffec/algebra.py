@@ -710,9 +710,13 @@ class Poly:
             return Poly.zero(self.field)
         if len(a) == 1:
             c = a[0]
+            if c is self.field.one:
+                return o
             return Poly(self.field, tuple(c * y for y in b))
         if len(b) == 1:
             c = b[0]
+            if c is self.field.one:
+                return self
             return Poly(self.field, tuple(x * c for x in a))
         if max(len(a), len(b)) >= 32:
             fast = _fast_mul(self.field, a, b)
@@ -737,8 +741,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __divmod__(self, other):
@@ -1214,14 +1219,45 @@ def poly_roots(f: Poly) -> list[tuple[FqElem, int]]:
 # rational functions
 
 
+def _nontrivial_gcd(x: Poly, y: Poly) -> Poly | None:
+    """gcd(x, y) of two nonzero polynomials, or None when it is 1.  A
+    constant is coprime to everything, so it takes no gcd."""
+    if len(x.coeffs) == 1 or len(y.coeffs) == 1:
+        return None
+    g = x.gcd(y)
+    return g if len(g.coeffs) > 1 else None
+
+
+def _monic_den(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """num/den with the leading coefficient of den made 1."""
+    c = den.coeffs[-1]
+    if c is den.field.one:
+        return num, den
+    inv = c.inverse()
+    return num * inv, den * inv
+
+
 class RatFunc:
-    """An element of F_q(t), kept reduced with a monic denominator."""
+    """An element of F_q(t), kept reduced: numerator and denominator
+    coprime, denominator monic.  The reduced form is unique, so 0 is 0/1
+    and a polynomial has denominator 1.
+
+    The operators keep that form without reducing a full product
+    (Henrici, J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1).  For reduced
+    a/b and c/d with g = gcd(b, d), the sum is (t/g2) / (b (d/g) / g2),
+    where t = a (d/g) + c (b/g) and g2 = gcd(t, g); the product cancels
+    gcd(a, d) and gcd(c, b) before it multiplies; a quotient is a product
+    with the reciprocal d/c, which only needs its leading coefficient made
+    1; a power of a reduced fraction is reduced.  No gcd is taken with a
+    constant or a denominator 1, so polynomials add and multiply with no
+    gcd at all."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None, _reduced=False):
         if den is None:
             den = Poly.one(num.field)
+            _reduced = True
         if num.field is not den.field:
             raise ValueError("numerator and denominator over different fields")
         if den.is_zero():
@@ -1230,15 +1266,11 @@ class RatFunc:
             if num.is_zero():
                 den = Poly.one(num.field)
             else:
-                g = num.gcd(den)
-                if g.degree > 0:
+                g = _nontrivial_gcd(num, den)
+                if g is not None:
                     num = num.exact_div(g)
                     den = den.exact_div(g)
-                c = den.lc()
-                if c is not den.field.one:
-                    inv = c.inverse()
-                    num = num * inv
-                    den = den * inv
+                num, den = _monic_den(num, den)
         self.num = num
         self.den = den
 
@@ -1303,7 +1335,18 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        g = _nontrivial_gcd(b, d)
+        if g is None:
+            return RatFunc(a * d + c * b, b * d, _reduced=True)
+        d = d.exact_div(g)
+        t = a * d + c * b.exact_div(g)
+        if not t:
+            return RatFunc(t)
+        g2 = _nontrivial_gcd(t, g)
+        if g2 is None:
+            return RatFunc(t, b * d, _reduced=True)
+        return RatFunc(t.exact_div(g2), b.exact_div(g2) * d, _reduced=True)
 
     __radd__ = __add__
 
@@ -1326,7 +1369,16 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
+        a, b, c, d = self.num, self.den, o.num, o.den
+        if not a or not c:
+            return RatFunc.zero(self.field)
+        g = _nontrivial_gcd(a, d)
+        if g is not None:
+            a, d = a.exact_div(g), d.exact_div(g)
+        g = _nontrivial_gcd(c, b)
+        if g is not None:
+            c, b = c.exact_div(g), b.exact_div(g)
+        return RatFunc(a * c, b * d, _reduced=True)
 
     __rmul__ = __mul__
 
@@ -1334,9 +1386,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
+        return self * o.reciprocal()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -1344,14 +1394,20 @@ class RatFunc:
             return NotImplemented
         return o / self
 
+    def reciprocal(self) -> "RatFunc":
+        """1/self: the same coprime pair swapped, so no gcd."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(*_monic_den(self.den, self.num), _reduced=True)
+
     def __pow__(self, n: int):
         if n < 0:
-            return (RatFunc.one(self.field) / self) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+            return self.reciprocal() ** (-n)
+        return RatFunc(self.num ** n, self.den ** n, _reduced=True)
 
     def compose_power(self, d: int) -> "RatFunc":
-        """Substitute t -> t^d."""
-        return RatFunc(self.num.compose_power(d), self.den.compose_power(d))
+        """Substitute t -> t^d (coprime and monic stay so)."""
+        return RatFunc(self.num.compose_power(d), self.den.compose_power(d), _reduced=True)
 
     def scale_var(self, c: FqElem) -> "RatFunc":
         """Substitute t -> c*t."""
@@ -1368,7 +1424,9 @@ class RatFunc:
             n = n.shift(dd - dn)
         elif dn > dd:
             d = d.shift(dn - dd)
-        return RatFunc(n, d)
+        # an automorphism keeps num and den coprime, and t divides neither
+        # reversal, so only the leading coefficient needs making 1
+        return RatFunc(*_monic_den(n, d), _reduced=True)
 
     def map_coeffs(self, fn, field: Fq | None = None) -> "RatFunc":
         return RatFunc(self.num.map_coeffs(fn, field), self.den.map_coeffs(fn, field))

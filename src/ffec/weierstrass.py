@@ -4,6 +4,7 @@ the group law, and the basic classification (constant / isotrivial / height).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,7 +52,11 @@ class Invariants:
     c4: RatFunc
     c6: RatFunc
     delta: RatFunc
-    j: RatFunc
+
+    @functools.cached_property
+    def j(self) -> RatFunc:
+        """c4^3 / delta, the one invariant that takes a gcd, on first use."""
+        return self.c4 ** 3 / self.delta
 
 
 class CurvePoint:
@@ -110,19 +115,18 @@ def ws_add(a, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
     x1, y1 = P.x, P.y
     x2, y2 = Q.x, Q.y
     if x1 == x2:
-        if y1 != y2 or not (2 * y1 + a1 * x1 + a3):
+        if y1 != y2:
             # Q is -P (two points with equal x are negatives of each other)
             return CurvePoint.infinity()
         den = 2 * y1 + a1 * x1 + a3
+        if not den:
+            # P = Q is a point of order 2
+            return CurvePoint.infinity()
         lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
-        nu = (-(x1 * x1 * x1) + a4 * x1 + 2 * a6 - a3 * y1) / den
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
     else:
-        den = x2 - x1
-        lam = (y2 - y1) / den
-        nu = (y1 * x2 - y2 * x1) / den
-        x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam + a1 * lam - a2 - x1 - x2
+    y3 = lam * (x1 - x3) - y1 - a1 * x3 - a3
     return CurvePoint(x3, y3)
 
 
@@ -173,8 +177,7 @@ class Curve:
             c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
             delta = (-(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6)
                      + 9 * b2 * b4 * b6)
-            j = c4 ** 3 / delta if delta else RatFunc.zero(self.field)
-            self._inv = Invariants(b2, b4, b6, b8, c4, c6, delta, j)
+            self._inv = Invariants(b2, b4, b6, b8, c4, c6, delta)
         return self._inv
 
     def __eq__(self, other):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from ffec.algebra import (
@@ -280,6 +282,107 @@ def test_ratfunc_field_ops(rng):
         assert a * (b + c) == a * b + a * c
         if not b.is_zero():
             assert (a / b) * b == a
+
+
+# A full-gcd reference for the fraction arithmetic: form the whole
+# numerator and denominator, then divide out their gcd by Euclid's
+# algorithm and make the denominator monic.
+
+
+def _euclid(a, b):
+    while b:
+        a, b = b, a % b
+    return a.monic()
+
+
+def _ref(num, den):
+    g = _euclid(num, den)
+    num, den = num // g, den // g
+    inv = den.lc().inverse()
+    return num * inv, den * inv
+
+
+def _ref_op(op, x, y):
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return _ref(a * d + c * b, b * d)
+    if op == "-":
+        return _ref(a * d - c * b, b * d)
+    if op == "*":
+        return _ref(a * c, b * d)
+    return _ref(a * d, b * c)
+
+
+def _ref_pow(x, n):
+    a, b = x
+    return _ref(a ** n, b ** n) if n >= 0 else _ref(b ** -n, a ** -n)
+
+
+def _assert_canonical(r):
+    assert r.den.lc() == r.field.one
+    assert _euclid(r.num, r.den).degree == 0
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (7, 2)])
+def test_ratfunc_ops_match_full_gcd_reference(p, e, rng):
+    F = field_create(p, e)
+    # denominators are products of pairwise coprime factors, drawn so that
+    # the two denominators share a factor in every other pair; numerators
+    # sometimes carry a factor of a denominator
+    factors = [f for d in (1, 2) for f in itertools.islice(iter_monic_irreducibles(F, d), 2)]
+
+    def operand(kind, den_factors):
+        if kind == 0:
+            return Poly.zero(F), Poly.one(F)
+        if kind == 1:
+            return Poly(F, [rand_elem(F, rng) or F.one]), Poly.one(F)
+        num = rand_poly(F, rng.randrange(4), rng) or Poly.one(F)
+        if rng.randrange(2):
+            num = num * rng.choice(factors)
+        den = Poly.one(F)
+        if kind > 2:
+            for f in den_factors:
+                den = den * f
+            den = den * (rand_elem(F, rng) or F.one)
+        return num, den
+
+    shared = coprime = 0
+    for i in range(60):
+        dx = rng.sample(factors, rng.randrange(1, len(factors)))
+        if i % 2:
+            dy = [rng.choice(dx)] + rng.sample(factors, rng.randrange(2))
+        else:
+            dy = rng.sample([f for f in factors if f not in dx], 1)
+        dx += dx[:rng.randrange(2)]
+        x, y = operand(rng.randrange(7), dx), operand(rng.randrange(7), dy)
+        rx, ry = RatFunc(*x), RatFunc(*y)
+        for r, pair in ((rx, x), (ry, y)):
+            assert (r.num, r.den) == _ref(*pair)
+            _assert_canonical(r)
+        if rx.den.degree > 0 and ry.den.degree > 0:
+            if _euclid(rx.den, ry.den).degree > 0:
+                shared += 1
+            else:
+                coprime += 1
+        got = {"+": rx + ry, "-": rx - ry, "*": rx * ry}
+        if ry:
+            got["/"] = rx / ry
+        for op, r in got.items():
+            assert (r.num, r.den) == _ref_op(op, x, y), (op, rx, ry)
+            _assert_canonical(r)
+        if ry.is_polynomial():
+            # a bare polynomial or constant on either side of an operator
+            assert rx + ry.num == got["+"] and ry.num * rx == got["*"]
+            assert ry.num - rx == -got["-"]
+        for n in range(-2, 4):
+            if n < 0 and not rx:
+                with pytest.raises(ZeroDivisionError):
+                    rx ** n
+                continue
+            r = rx ** n
+            assert (r.num, r.den) == _ref_pow(x, n)
+            _assert_canonical(r)
+    assert shared and coprime, (shared, coprime)
 
 
 def test_reciprocal_var():

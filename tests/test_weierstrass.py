@@ -27,6 +27,7 @@ from ffec.weierstrass import (
     minimal_polynomial_model,
     parse_curve_file,
 )
+from ffec.heights_points import legendre_family
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -182,6 +183,86 @@ def test_group_law_generic_points():
     P2 = E.scalar_mul(2, P)
     P3 = E.scalar_mul(3, P)
     assert E.add(E.add(P, P2), P3) == E.add(P, E.add(P2, P3))
+
+
+def _textbook_add(E, P, Q):
+    """P + Q by Silverman's Algorithm III.2.3: y3 = -(lam + a1) x3 - nu - a3
+    with the intercept nu of the line through P and Q."""
+    a1, a2, a3, a4, a6 = E.coeffs
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    (x1, y1), (x2, y2) = (P.x, P.y), (Q.x, Q.y)
+    if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:
+        return CurvePoint.infinity()
+    if x1 == x2:
+        den = 2 * y1 + a1 * x1 + a3
+        lam = (3 * x1 ** 2 + 2 * a2 * x1 + a4 - a1 * y1) / den
+        nu = (-x1 ** 3 + a4 * x1 + 2 * a6 - a3 * y1) / den
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+        nu = (y1 * x2 - y2 * x1) / (x2 - x1)
+    x3 = lam ** 2 + a1 * lam - a2 - x1 - x2
+    return CurvePoint(x3, -(lam + a1) * x3 - nu - a3)
+
+
+def _check_group_law(E, points):
+    pairs = [(P, Q) for P in points for Q in points] + [(P, E.neg(P)) for P in points]
+    for P, Q in pairs:
+        R = E.add(P, Q)
+        assert R == _textbook_add(E, P, Q)
+        assert E.on_curve(R)
+    assert E.add(points[0], E.neg(points[0])).is_infinity
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_group_law_matches_textbook_legendre(p):
+    fam = legendre_family(p)
+    _check_group_law(fam.curve, fam.points[:3])
+
+
+def test_group_law_matches_textbook_with_denominators(rng):
+    # a4 and a6 chosen so that two points with non-polynomial coordinates
+    # lie on a curve over F_9 whose a1, a2, a3 have denominators too
+    F = field_create(3, 2)
+    while True:
+        a1, a2, a3, x1, y1, x2, y2 = (rand_rf(F, rng) for _ in range(7))
+        if x1 == x2 or any(c.is_polynomial() for c in (a1, a2, a3, x1, x2)):
+            continue
+
+        def rest(x, y):
+            return y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x
+        a4 = (rest(x1, y1) - rest(x2, y2)) / (x1 - x2)
+        a6 = rest(x1, y1) - a4 * x1
+        try:
+            E = Curve(F, a1, a2, a3, a4, a6)
+        except NotEllipticError:
+            continue
+        break
+    P, Q = E.point(x1, y1), E.point(x2, y2)
+    _check_group_law(E, [P, Q, E.add(P, Q)])
+
+
+def test_polynomial_arithmetic_takes_no_gcd(monkeypatch):
+    calls = []
+    gcd = Poly.gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", spy)
+    F = field_create(3, 2)
+    t = RatFunc.t(F)
+    f, g = t ** 3 + 2 * t + 1, RatFunc(Poly(F, [F.gen, 0, 1]))
+    assert f + g - f * g - 1 == RatFunc(f.num + g.num - f.num * g.num - 1)
+    assert (f ** 4 * g).den.is_one()
+    E = Curve(F, a1=t, a2=g, a3=t ** 2 + 1, a6=f)
+    assert E.invariants().delta.is_polynomial()
+    assert calls == []
+    # j = c4^3 / delta is a true fraction and the one invariant with a gcd
+    assert not E.invariants().j.is_polynomial() and calls
 
 
 def test_classify_fixtures():
