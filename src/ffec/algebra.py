@@ -86,14 +86,20 @@ def _moebius(n: int) -> int:
 
 class FqElem:
     """An element of a finite field.  Instances are interned per field, so
-    equal elements of the same field are the same object."""
+    equal elements of the same field are the same object.
 
-    __slots__ = ("field", "val", "_hash")
+    Once the field has its table (Fq.zech), `log` is the element's discrete
+    logarithm to the table's generator (None for 0) and every operation is
+    a table lookup; before that, and in fields above PLACE_CAP, operations
+    work on `val`, the coefficient tuple."""
+
+    __slots__ = ("field", "val", "_hash", "log")
 
     def __init__(self, field: "Fq", val, h: int):
         self.field = field
         self.val = val
         self._hash = h
+        self.log = None
 
     def __hash__(self):
         return self._hash
@@ -119,22 +125,59 @@ class FqElem:
             return self.field.scalar(other)
         return None
 
+    # With a table T: g^a + g^b = g^(a + Z(b - a)) for the Zech logarithm
+    # Z(k) = log(1 + g^k), and -g^a = g^(a + log(-1)).  T.exp and T.zech
+    # have period q - 1 and length 2(q - 1), so no index needs a "%".
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._make(self.field._vadd(self.val, o.val))
+        F = self.field
+        if other.__class__ is not FqElem or other.field is not F:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        T = F._table
+        if T is None:
+            F._count_op()
+            return F._make(F._vadd(self.val, other.val))
+        a = self.log
+        if a is None:
+            return other
+        b = other.log
+        if b is None:
+            return self
+        z = T.zech[b - a]
+        return F.zero if z < 0 else T.exp[a + z]
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.field._make(self.field._vneg(self.val))
+        F = self.field
+        T = F._table
+        if T is None:
+            F._count_op()
+            return F._make(F._vneg(self.val))
+        a = self.log
+        return self if a is None else T.exp[a + T.log_neg1]
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._make(self.field._vadd(self.val, self.field._vneg(o.val)))
+        F = self.field
+        if other.__class__ is not FqElem or other.field is not F:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        T = F._table
+        if T is None:
+            F._count_op()
+            return F._make(F._vadd(self.val, F._vneg(other.val)))
+        b = other.log
+        if b is None:
+            return self
+        b += T.log_neg1
+        a = self.log
+        if a is None:
+            return T.exp[b]
+        z = T.zech[b - a]
+        return F.zero if z < 0 else T.exp[a + z]
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -143,28 +186,57 @@ class FqElem:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.field._make(self.field._vmul(self.val, o.val))
+        F = self.field
+        if other.__class__ is not FqElem or other.field is not F:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        T = F._table
+        if T is None:
+            F._count_op()
+            return F._make(F._vmul(self.val, other.val))
+        a = self.log
+        if a is None:
+            return self
+        b = other.log
+        if b is None:
+            return other
+        return T.exp[a + b]
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        F = self.field
+        if other.__class__ is not FqElem or other.field is not F:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        T = F._table
+        if T is None:
+            return self * other.inverse()
+        b = other.log
+        if b is None:
+            raise ZeroDivisionError("inverse of 0")
+        a = self.log
+        return self if a is None else T.exp[a - b]
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        T = self.field._table
+        if T is not None:
+            a = self.log
+            if a is not None:
+                return T.exp[n * a % T.order]
+            if n < 0:
+                raise ZeroDivisionError("inverse of 0")
+            return self if n else self.field.one
         if n < 0:
             return self.inverse() ** (-n)
         out = self.field.one
@@ -179,6 +251,9 @@ class FqElem:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of 0")
+        T = self.field._table
+        if T is not None:
+            return T.exp[-self.log]
         return self ** (self.field.q - 2)
 
     def __repr__(self):
@@ -199,7 +274,7 @@ class Fq:
         self._id = next(Fq._ids)
         self._intern: dict = {}
         self._gen_cache = None
-        self._zech_cache = None
+        self._table = None
         self._basis_tr = None
         if base is None:
             if p is None or not _is_prime_int(p):
@@ -242,6 +317,9 @@ class Fq:
                 self.gen = self._make(g)
             else:
                 self.gen = self._make((base.one,))
+        # operations left on the tuple path before the field builds its
+        # table; -1 once it has one, or where it cannot (above the cap)
+        self._ops_left = self.q if self.q <= PLACE_CAP else -1
 
     def __repr__(self):
         return f"F_{self.q}"
@@ -461,9 +539,20 @@ class Fq:
         return self._gen_cache
 
     def zech(self) -> "ZechTable":
-        if self._zech_cache is None:
-            self._zech_cache = ZechTable(self)
-        return self._zech_cache
+        """The field's log/Zech table, built on the first call.  From then
+        on every operation on its elements is a table lookup."""
+        if self._table is None:
+            self._ops_left = -1
+            self._table = ZechTable(self)
+        return self._table
+
+    def _count_op(self):
+        """Count one operation on the tuple path.  After q of them the field
+        builds its table, so a field used less than that never pays for
+        one, and one used more spends at most about twice the least."""
+        self._ops_left -= 1
+        if self._ops_left == 0:
+            self.zech()
 
 
 def field_create(p: int, e: int = 1) -> Fq:
@@ -495,34 +584,70 @@ def _field_create(p: int, e: int) -> Fq:
 
 
 class ZechTable:
-    """Discrete logarithm and Zech tables for a small field.  Supports the
-    fast point-counting loops: addition of powers of the generator stays in
-    exponent arithmetic."""
+    """The log/Zech table of a small field, g its canonical generator and
+    M = q - 1 its order:
+
+    - g, and order = M;
+    - exp[k] is the interned element g^(k mod M), for 0 <= k < 2M;
+    - zech[k] is log(1 + g^(k mod M)), or -1 where 1 + g^k = 0, for
+      0 <= k < 2M;
+    - log_neg1 is log(-1): M/2 for odd p, 0 for p = 2;
+    - tracebit[k] is the absolute trace of g^k as 0 or 1 (p = 2 only);
+    - building it sets the `log` slot of every element of the field.
+
+    FqElem arithmetic and the point counts (count_ws_points) read these
+    lists.  The powers of g are found in integer coordinates: an element is
+    the vector of its F_p-coordinates (Fq._flatten), multiplication by g is
+    an e x e matrix over F_p, and g^0 .. g^(M-1) come from about 2 sqrt(M)
+    matrix products in numpy, so the build does no field arithmetic beyond
+    finding g and the matrix."""
 
     def __init__(self, field: Fq):
         if field.q > PLACE_CAP:
             raise CapError(f"F_{field.q} above the counting cap {PLACE_CAP}")
         self.field = field
+        p, e, M = field.p, field.e, field.q - 1
+        self.order = M
+        # canonical order is the order of the codes sum_i c_i p^i of the
+        # coordinates c_0 .. c_(e-1)
+        by_code = list(field.elements())
         g = field.canonical_generator()
         self.g = g
-        M = field.q - 1
-        exp = [None] * M
-        log: dict = {}
-        x = field.one
-        for k in range(M):
-            exp[k] = x
-            log[x] = k
-            x = x * g
-        one = field.one
-        zech = [-1] * M
-        for k in range(M):
-            s = exp[k] + one
-            zech[k] = log.get(s, -1)
-        self.exp = exp
-        self.log = log
-        self.zech = zech
-        if field.p == 2:
-            self.tracebit = [field.absolute_trace(v) for v in exp]
+        mul_g = np.array([field._flatten(g * b) for b in field._basis()], dtype=np.int64).T
+        # the coordinates of g^k, k < B, are the first columns of the
+        # matrices of g^k; then g^(jB + k) = g^(jB) g^k is one matrix
+        # product per block of B powers
+        B = math.isqrt(M) + 1
+        mat = np.eye(e, dtype=np.int64)
+        first = []
+        for _ in range(B):
+            first.append(mat[:, 0])
+            mat = mul_g @ mat % p
+        block = np.stack(first, axis=1)
+        weights = p ** np.arange(e, dtype=np.int64)
+        step, parts = mat, []
+        mat = np.eye(e, dtype=np.int64)
+        for _ in range(-(-M // B)):
+            parts.append(weights @ (mat @ block % p))
+            mat = mat @ step % p
+        codes = np.concatenate(parts)[:M]
+        exp = [by_code[c] for c in codes.tolist()]
+        for k, x in enumerate(exp):
+            x.log = k
+        self.exp = exp + exp
+        # adding 1 adds 1 to the coordinate c_0
+        log_of = np.full(field.q, -1, dtype=np.int64)
+        log_of[codes] = np.arange(M)
+        zech = log_of[np.where(codes % p == p - 1, codes - (p - 1), codes + 1)].tolist()
+        self.zech = zech + zech
+        self.log_neg1 = M // 2 if p != 2 else 0
+        if p == 2:
+            # Tr(x) = sum_j x^(2^j), and g^k squared j times is g^(k 2^j)
+            tr = codes.copy()
+            k = np.arange(M, dtype=np.int64)
+            for j in range(1, e):
+                tr ^= codes[(k << j) % M]
+            self.tracebit = tr.tolist()
         else:
             self.tracebit = None
 
@@ -537,13 +662,8 @@ def count_ws_points(field: Fq, a1, a2, a3, a4, a6) -> int:
     zt = field.zech()
     M = field.q - 1
     Z = zt.zech
-    log = zt.log
     tb = zt.tracebit
-
-    def lg(c):
-        return log[c] if c else None
-
-    la1, la2, la3, la4, la6 = lg(a1), lg(a2), lg(a3), lg(a4), lg(a6)
+    la1, la2, la3, la4, la6 = a1.log, a2.log, a3.log, a4.log, a6.log
 
     def zadd(i, j):
         if i is None:
@@ -555,7 +675,7 @@ def count_ws_points(field: Fq, a1, a2, a3, a4, a6) -> int:
 
     char2 = field.p == 2
     if not char2:
-        linv4 = log[field.scalar(4).inverse()]
+        linv4 = field.scalar(4).inverse().log
 
     total = 1
     # x = 0 and x = g^k handled uniformly via (ef, eh) exponents
@@ -1445,6 +1565,13 @@ class RatFunc:
 # places
 
 
+@functools.lru_cache(maxsize=256)
+def _quotient_field(field: Fq, modulus: tuple) -> Fq:
+    """field[t]/(modulus), one object per modulus: the places of every
+    curve that share a polynomial share its residue field and its table."""
+    return Fq(base=field, modulus=modulus)
+
+
 class Place:
     """A place of F_q(t): either the infinite place or a monic irreducible
     polynomial."""
@@ -1505,7 +1632,7 @@ class Place:
             if self.degree == 1:
                 self._kappa = self.field
             else:
-                self._kappa = Fq(base=self.field, modulus=self.poly.coeffs)
+                self._kappa = _quotient_field(self.field, self.poly.coeffs)
         return self._kappa
 
     def reduce_poly(self, f: Poly) -> FqElem:

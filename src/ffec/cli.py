@@ -98,7 +98,7 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _emit_l_record(em: Emitter, L, tol: float, cond_deg: int | None = None):
+def _emit_l_record(em: Emitter, L, tol: float):
     eps = check_functional_equation(L)
     rank = analytic_rank(L)
     rh = check_rh(L, tol)
@@ -108,9 +108,6 @@ def _emit_l_record(em: Emitter, L, tol: float, cond_deg: int | None = None):
              f"RH {'ok' if rh else 'VIOLATED'}")
     em.check(rh, "inverse roots of L are not all on |alpha| = q")
     em.check(rank <= L.N, f"analytic rank {rank} exceeds degree {L.N}")
-    if cond_deg is not None:
-        em.check(L.N == cond_deg - 4,
-                 f"degree {L.N} != conductor degree {cond_deg} - 4")
     return rank
 
 
@@ -148,7 +145,7 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
     em.human(f"height {cls.height}, {len(A.bad)} bad places, "
              f"conductor degree {cond.deg}")
     L = l_polynomial(E)
-    _emit_l_record(em, L, args.tol, cond_deg=cond.deg)
+    _emit_l_record(em, L, args.tol)
 
 
 def cmd_tower(args, em: Emitter, text: str) -> None:

@@ -215,11 +215,12 @@ def _place_orbits(q: int, d: int) -> list:
     return reps
 
 
-def _log_coeffs(f: Poly, K: Fq, zt) -> list:
-    """(i, log c_i) for the non-zero coefficients of f, embedded in K."""
+def _log_coeffs(f: Poly, K: Fq) -> list:
+    """(i, log c_i) for the non-zero coefficients of f, embedded in K, which
+    has its table."""
     if K is f.field:
-        return [(i, zt.log[c]) for i, c in enumerate(f.coeffs) if c]
-    return [(i, zt.log[K.element([c])]) for i, c in enumerate(f.coeffs) if c]
+        return [(i, c.log) for i, c in enumerate(f.coeffs) if c]
+    return [(i, K.element([c]).log) for i, c in enumerate(f.coeffs) if c]
 
 
 def _log_eval(terms, k, M: int, Z) -> int | None:
@@ -315,8 +316,8 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
         K = _degree_field(F, d)
         zt = K.zech()
         Z, exp, zero = zt.zech, zt.exp, K.zero
-        terms = [_log_coeffs(r.num, K, zt) for r in M.coeffs]
-        dterms = _log_coeffs(delta, K, zt)
+        terms = [_log_coeffs(r.num, K) for r in M.coeffs]
+        dterms = _log_coeffs(delta, K)
         good = 0
         for k in _place_orbits(q, d):
             if _log_eval(dterms, k, qv - 1, Z) is None:

@@ -1,0 +1,239 @@
+"""Finite-field arithmetic against a reference that shares no code with Fq.
+
+The reference below does integer polynomial arithmetic modulo each field's
+modulus: an element of F_p is an int in [0, p), an element of K[y]/(m) a
+tuple of deg(m) elements of K, low degree first.  It reads only the data of
+an Fq (p, base, modulus and each element's val); every result of Fq must be
+the interned element the reference names.
+"""
+
+import random
+
+import pytest
+
+from ffec.algebra import (
+    PLACE_CAP,
+    CapError,
+    Fq,
+    Place,
+    Poly,
+    field_create,
+    iter_monic_irreducibles,
+)
+
+
+class Ref:
+    def __init__(self, F):
+        self.p = F.p
+        self.q = F.q
+        self.base = None if F.base is None else Ref(F.base)
+        if self.base is None:
+            self.zero, self.one = 0, 1
+        else:
+            b = self.base
+            self.mod = [b.of(c) for c in F.modulus]
+            self.deg = len(self.mod) - 1
+            self.zero = (b.zero,) * self.deg
+            self.one = (b.one,) + (b.zero,) * (self.deg - 1)
+
+    def of(self, x):
+        if self.base is None:
+            return x.val
+        return tuple(self.base.of(c) for c in x.val)
+
+    def elem(self, F, r):
+        if self.base is None:
+            return F.scalar(r)
+        return F.element([self.base.elem(F.base, c) for c in r])
+
+    def rand(self, rng):
+        if self.base is None:
+            return rng.randrange(self.p)
+        return tuple(self.base.rand(rng) for _ in range(self.deg))
+
+    def add(self, x, y):
+        if self.base is None:
+            return (x + y) % self.p
+        return tuple(self.base.add(a, b) for a, b in zip(x, y))
+
+    def neg(self, x):
+        if self.base is None:
+            return -x % self.p
+        return tuple(self.base.neg(a) for a in x)
+
+    def mul(self, x, y):
+        if self.base is None:
+            return x * y % self.p
+        b, d = self.base, self.deg
+        conv = [b.zero] * (2 * d - 1)
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                conv[i + j] = b.add(conv[i + j], b.mul(u, v))
+        for k in range(2 * d - 2, d - 1, -1):
+            c = conv[k]
+            if c != b.zero:
+                for i in range(d + 1):
+                    conv[k - d + i] = b.add(conv[k - d + i], b.neg(b.mul(c, self.mod[i])))
+        return tuple(conv[:d])
+
+    def pow(self, x, n):
+        if n < 0:
+            x, n = self.pow(x, self.q - 2), -n
+        out = self.one
+        while n:
+            if n & 1:
+                out = self.mul(out, x)
+            x = self.mul(x, x)
+            n >>= 1
+        return out
+
+    def order(self, x):
+        return min(n for n in range(1, self.q) if (self.q - 1) % n == 0
+                   and self.pow(x, n) == self.one)
+
+
+SMALL = [(p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                          53, 59, 61)
+         for e in range(1, 7) if p ** e <= 64]
+
+
+def _residue_field(F, d):
+    return Place.finite(next(iter_monic_irreducibles(F, d))).residue_field()
+
+
+def check_pair(F, R, x, y):
+    rx, ry = R.of(x), R.of(y)
+    assert x + y is R.elem(F, R.add(rx, ry))
+    assert x - y is R.elem(F, R.add(rx, R.neg(ry)))
+    assert x * y is R.elem(F, R.mul(rx, ry))
+    if y:
+        assert x / y is R.elem(F, R.mul(rx, R.pow(ry, -1)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+def check_element(F, R, x, rng):
+    rx = R.of(x)
+    assert -x is R.elem(F, R.neg(rx))
+    assert x + 1 is 1 + x is R.elem(F, R.add(rx, R.one))
+    assert 2 * x is x * 2 is R.elem(F, R.mul(rx, R.add(R.one, R.one)))
+    assert 1 - x is R.elem(F, R.add(R.one, R.neg(rx)))
+    for n in (0, 1, 2, 5, F.q - 1, F.q, rng.randrange(1, 10 ** 6)):
+        assert x ** n is R.elem(F, R.pow(rx, n))
+    for k in range(1, F.e + 1):
+        assert F.frobenius(x, k) is R.elem(F, R.pow(rx, F.p ** k))
+    assert F.pth_root(x) is R.elem(F, R.pow(rx, F.q // F.p))
+    assert R.pow(R.of(F.pth_root(x)), F.p) == rx
+    r = F.sqrt(x)
+    square = F.p == 2 or not x or R.pow(rx, (F.q - 1) // 2) == R.one
+    assert (r is not None) == square
+    if r is not None:
+        assert R.mul(R.of(r), R.of(r)) == rx
+    if x:
+        assert x.inverse() is R.elem(F, R.pow(rx, -1))
+        for n in (-1, -2, -(F.q + 3)):
+            assert x ** n is R.elem(F, R.pow(rx, n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x ** -1
+        assert x ** 0 is F.one
+
+
+@pytest.mark.parametrize("p,e", SMALL)
+def test_every_pair_agrees_small_fields(p, e):
+    F = field_create(p, e)
+    F.zech()
+    R = Ref(F)
+    rng = random.Random(p ** e)
+    els = list(F.elements())
+    assert len(els) == F.q
+    for x in els:
+        for y in els:
+            check_pair(F, R, x, y)
+        check_element(F, R, x, rng)
+    for x in els[1:]:
+        assert F.element_order(x) == R.order(R.of(x))
+
+
+@pytest.mark.parametrize("name", ["F_2^16", "F_3^10", "F_251^2", "deg-2 over F_49"])
+def test_seeded_samples_large_tables(name, rng):
+    if name == "deg-2 over F_49":
+        F = _residue_field(field_create(7, 2), 2)
+    else:
+        p, e = map(int, name[2:].split("^"))
+        F = field_create(p, e)
+    F.zech()
+    assert F.q <= PLACE_CAP
+    R = Ref(F)
+    sample = [R.elem(F, R.rand(rng)) for _ in range(30)] + [F.zero, F.one, -F.one]
+    for x in sample:
+        check_element(F, R, x, rng)
+    for _ in range(200):
+        check_pair(F, R, rng.choice(sample), rng.choice(sample))
+    for x in sample[:5]:
+        if x:
+            assert F.element_order(x) == R.order(R.of(x))
+
+
+def test_field_above_the_cap_stays_on_tuples(rng):
+    F2 = field_create(2)
+    F = _residue_field(F2, 17)
+    assert F.q > PLACE_CAP
+    R = Ref(F)
+    sample = [R.elem(F, R.rand(rng)) for _ in range(12)] + [F.zero, F.one]
+    for x in sample:
+        check_element(F, R, x, rng)
+        for y in sample:
+            check_pair(F, R, x, y)
+    assert F._table is None and all(x.log is None for x in sample)
+    with pytest.raises(CapError):
+        F.zech()
+
+
+def test_table_built_mid_use_changes_no_result(rng):
+    F7 = field_create(7)
+    K = Fq(base=F7, modulus=tuple(Poly(F7, [3, 1, 1]).coeffs))  # t^2 + t + 3
+    R = Ref(K)
+    pairs = [(R.elem(K, R.rand(rng)), R.elem(K, R.rand(rng))) for _ in range(40)]
+
+    def run():
+        out = []
+        for x, y in pairs:
+            out += [x + y, x - y, x * y, -x, x ** 3, x ** -2 if x else x]
+            out.append(x / y if y else K.frobenius(x))
+        return out
+
+    def expected(x, y):
+        rx, ry = R.of(x), R.of(y)
+        return [R.add(rx, ry), R.add(rx, R.neg(ry)), R.mul(rx, ry), R.neg(rx),
+                R.pow(rx, 3), R.pow(rx, -2) if x else rx,
+                R.mul(rx, R.pow(ry, -1)) if y else R.pow(rx, K.p)]
+
+    assert K._table is None
+    first = run()
+    # q = 49 tuple operations build the table partway through the first run
+    assert K._table is not None
+    second = run()
+    assert all(a is b for a, b in zip(first, second))
+    want = [R.elem(K, r) for x, y in pairs for r in expected(x, y)]
+    assert all(a is b for a, b in zip(first, want))
+
+
+def test_table_arrays_agree_with_elements():
+    for F in (field_create(2, 6), field_create(3, 3), _residue_field(field_create(2, 2), 3)):
+        T = F.zech()
+        M = F.q - 1
+        assert len(T.exp) == len(T.zech) == 2 * M
+        assert T.exp[0] is F.one and T.exp[1] is T.g
+        for k in range(M):
+            x = T.exp[k]
+            assert x.log == k and T.exp[k + M] is x
+            s = x + 1
+            assert T.zech[k] == (-1 if not s else s.log)
+            if F.p == 2:
+                assert T.tracebit[k] == F.absolute_trace(x)
+        assert T.exp[T.log_neg1] is -F.one
+        assert F.zero.log is None

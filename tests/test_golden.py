@@ -1,0 +1,66 @@
+"""Whole reports, byte for byte, against outputs recorded in tests/data.
+
+Each case runs `ffec` in-process and compares its stdout with
+tests/data/<case>.jsonl after masking what may differ between runs and
+machines: the `seconds` of the summary record, the Python version of the
+meta record, and the directory of the curve file in its command line.
+
+To record the outputs again (only when a report is meant to change):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from ffec import cli
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+CASES = {
+    "points-p3": ["points", "--p", "3"],
+    "points-p5": ["points", "--p", "5"],
+    "tower-e9-f2-scan2": ["tower", "--curve", "e9-f2.curve", "--scan", "2"],
+    "tower-e7-f2-d9-mu": ["tower", "--curve", "e7-f2.curve", "--d", "9", "--mu"],
+    "analyze-e7-f2": ["analyze", "--curve", "e7-f2.curve"],
+    "analyze-e9-f3": ["analyze", "--curve", "e9-f3.curve"],
+    "analyze-first-example-f4": ["analyze", "--curve", "first-example-f4.curve"],
+}
+
+
+def _masked(record: dict) -> dict:
+    if record["record"] == "summary":
+        record["seconds"] = None
+    elif record["record"] == "meta":
+        record["command"] = [pathlib.Path(a).name if a.endswith(".curve") else a
+                             for a in record["command"]]
+        record["versions"]["python"] = None
+    return record
+
+
+def report(argv) -> str:
+    """The masked stdout of `ffec argv`, with curve files read from DATA."""
+    argv = [str(DATA / a) if a.endswith(".curve") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    return "".join(
+        json.dumps(_masked(json.loads(line)), sort_keys=True, separators=(",", ":")) + "\n"
+        for line in out.getvalue().splitlines())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_recording(case):
+    want = (DATA / f"{case}.jsonl").read_text(encoding="utf-8")
+    assert report(CASES[case]) == want
+
+
+if __name__ == "__main__":
+    for name, argv in CASES.items():
+        (DATA / f"{name}.jsonl").write_text(report(argv), encoding="utf-8")
+        print(f"recorded {name}", file=sys.stderr)
