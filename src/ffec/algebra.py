@@ -26,7 +26,14 @@ POS_INF = float("inf")
 # counts, discrete-log tables, generator searches).
 PLACE_CAP = 1 << 16
 
-# Polynomials above this length switch to the packed-integer fast paths.
+# Poly multiplies, divides and takes gcds on arrays of F_p-coordinates
+# (_array_mul, _array_divmod, _array_gcd), in every field, once an operand
+# has _BIG coefficients; below that its loops over elements are faster.
+# Timed on random polynomials over F_2 .. F_64: a product of two factors of
+# equal length pays off from about 24 coefficients, but a long times a short
+# factor and a gcd over an extension field, whose every Euclid step pays for
+# an inverse and a tensor product, only from about 64.  (A divisor of fewer
+# than about 16 coefficients is faster in the loop at any length.)
 _BIG = 64
 
 
@@ -276,6 +283,7 @@ class Fq:
         self._gen_cache = None
         self._table = None
         self._basis_tr = None
+        self._tensor = None
         if base is None:
             if p is None or not _is_prime_int(p):
                 raise ValueError("characteristic must be prime")
@@ -428,6 +436,23 @@ class Fq:
             out.extend(self.base._flatten(c))
         return tuple(out)
 
+    def _coords(self, xs) -> np.ndarray:
+        """The coordinates (_flatten) of the elements xs as the rows of an
+        (len(xs), e) int64 array."""
+        if self.base is None:
+            return np.array([x.val for x in xs], dtype=np.int64).reshape(-1, 1)
+        return np.hstack([self.base._coords([x.val[i] for x in xs]) for i in range(self.deg)])
+
+    def _from_coords(self, rows: np.ndarray) -> list:
+        """The elements with the given rows of coordinates in [0, p): the
+        inverse of _coords."""
+        mk = self._make
+        if self.base is None:
+            return [mk(v) for v in rows[:, 0].tolist()]
+        be = self.base.e
+        parts = [self.base._from_coords(rows[:, i * be:(i + 1) * be]) for i in range(self.deg)]
+        return [mk(v) for v in zip(*parts)]
+
     def _basis(self):
         """Elements whose flattened coordinates are the unit vectors."""
         if self.base is None:
@@ -440,6 +465,16 @@ class Fq:
                 val = tuple(b if j == i else z for j in range(self.deg))
                 out.append(self._make(val))
         return out
+
+    def _mul_tensor(self) -> np.ndarray:
+        """The (e, e, e) array T with T[i, j] the coordinates of b_i b_j, for
+        b = _basis(), built on first use: the coordinates of x y are
+        sum_ij x_i y_j T[i, j]."""
+        if self._tensor is None:
+            b = self._basis()
+            T = self._coords([x * y for x in b for y in b])
+            self._tensor = T.reshape(self.e, self.e, self.e)
+        return self._tensor
 
     def absolute_trace(self, x: FqElem) -> int:
         """Trace down to F_p, returned as an integer in [0, p)."""
@@ -838,10 +873,8 @@ class Poly:
             if c is self.field.one:
                 return self
             return Poly(self.field, tuple(x * c for x in a))
-        if max(len(a), len(b)) >= 32:
-            fast = _fast_mul(self.field, a, b)
-            if fast is not None:
-                return Poly(self.field, fast)
+        if max(len(a), len(b)) >= _BIG:
+            return Poly(self.field, _array_mul(self.field, a, b))
         z = self.field.zero
         out = [z] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -872,14 +905,12 @@ class Poly:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("polynomial division by zero")
-        if len(self.coeffs) >= _BIG:
-            fast = _fast_divmod(self.field, self.coeffs, o.coeffs)
-            if fast is not None:
-                q, r = fast
-                return Poly(self.field, q), Poly(self.field, r)
         dq = len(self.coeffs) - len(o.coeffs)
         if dq < 0:
             return Poly.zero(self.field), self
+        if len(self.coeffs) >= _BIG:
+            q, r = _array_divmod(self.field, self.coeffs, o.coeffs)
+            return Poly(self.field, q), Poly(self.field, r)
         inv = o.coeffs[-1].inverse()
         rem = list(self.coeffs)
         lo = len(o.coeffs)
@@ -919,12 +950,7 @@ class Poly:
         o = self._coerce(other)
         a, b = self, o
         if max(len(a.coeffs), len(b.coeffs)) >= _BIG:
-            if self.field.e <= 1:
-                fast = _np_gcd_prime(self.field, a.coeffs, b.coeffs)
-            else:
-                fast = _np_gcd_quad(self.field, a.coeffs, b.coeffs)
-            if fast is not None:
-                return Poly(self.field, fast).monic()
+            return Poly(self.field, _array_gcd(self.field, a.coeffs, b.coeffs)).monic()
         while b:
             a, b = b, a % b
         return a.monic()
@@ -989,186 +1015,93 @@ class Poly:
         return format_poly(self, "t")
 
 
-def _fast_mul(field: Fq, a, b):
-    """Packed-integer multiplication.  Prime fields use Kronecker
-    substitution; quadratic extensions split into three prime products.
-    Returns a coefficient list, or None if the field is not supported."""
-    if field.base is None:
-        av = [c.val for c in a]
-        bv = [c.val for c in b]
-        out = _kron_mul(field.p, av, bv)
-        return [field._make(v) for v in out]
-    if field.deg == 2 and field.base.base is None:
-        p = field.p
-        m0 = field.modulus[0].val
-        m1 = field.modulus[1].val
-        a0 = [c.val[0].val for c in a]
-        a1 = [c.val[1].val for c in a]
-        b0 = [c.val[0].val for c in b]
-        b1 = [c.val[1].val for c in b]
-        p00 = _kron_mul(p, a0, b0)
-        p11 = _kron_mul(p, a1, b1)
-        s0 = [(x + y) % p for x, y in zip(a0, a1)]
-        s1 = [(x + y) % p for x, y in zip(b0, b1)]
-        pss = _kron_mul(p, s0, s1)
-        base = field.base
-        out = []
-        for k in range(len(p00)):
-            c0 = (p00[k] - m0 * p11[k]) % p
-            c1 = (pss[k] - p00[k] - p11[k] - m1 * p11[k]) % p
-            out.append(field._make((base._make(c0), base._make(c1))))
-        return out
-    return None
+def _pack(slots: np.ndarray, width: int) -> int:
+    """The integer whose little-endian digits of `width` bytes are `slots`."""
+    digits = slots.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
+    return int.from_bytes(digits.tobytes(), "little")
 
 
-def _kron_mul(p: int, a, b):
-    """Multiply two coefficient lists mod p via one big-integer product."""
+def _array_mul(field: Fq, a, b):
+    """The coefficients of a * b by Kronecker substitution.  One big-integer
+    product gives the convolution of every coordinate of a with every
+    coordinate of b, and the multiplication tensor sums them up."""
+    p, e = field.p, field.e
     n, m = len(a), len(b)
-    bound = min(n, m) * (p - 1) * (p - 1)
-    bw = (bound.bit_length() + 7) // 8
-    abuf = bytearray(bw * n)
-    for i, c in enumerate(a):
-        if c:
-            abuf[i * bw:(i + 1) * bw] = c.to_bytes(bw, "little")
-    bbuf = bytearray(bw * m)
-    for i, c in enumerate(b):
-        if c:
-            bbuf[i * bw:(i + 1) * bw] = c.to_bytes(bw, "little")
-    prod = int.from_bytes(bytes(abuf), "little") * int.from_bytes(bytes(bbuf), "little")
-    slots = n + m - 1
-    pbuf = prod.to_bytes(bw * (n + m), "little")
-    return [int.from_bytes(pbuf[k * bw:(k + 1) * bw], "little") % p for k in range(slots)]
+    # a slot holds at most min(n, m) (p - 1)^2 < 2^64, since p < 2^16
+    width = ((min(n, m) * (p - 1) ** 2).bit_length() + 7) // 8
+    # coordinate i of a_k goes to slot k e^2 + i e and coordinate j of b_k
+    # to slot k e^2 + j, so slot k e^2 + i e + j of the product holds the
+    # t^k coefficient of a_i(t) b_j(t)
+    sa = np.zeros((n, e, e), dtype=np.int64)
+    sa[:, :, 0] = field._coords(a)
+    sb = np.zeros((m, e, e), dtype=np.int64)
+    sb[:, 0, :] = field._coords(b)
+    slots = (n + m - 1) * e * e
+    prod = (_pack(sa, width) * _pack(sb, width)).to_bytes(slots * width, "little")
+    digits = np.zeros((slots, 8), dtype=np.uint8)
+    digits[:, :width] = np.frombuffer(prod, dtype=np.uint8).reshape(slots, width)
+    conv = digits.view("<u8").astype(np.int64).reshape(n + m - 1, e * e) % p
+    return field._from_coords(conv @ field._mul_tensor().reshape(e * e, e) % p)
 
 
-def _fast_divmod(field: Fq, a, b):
-    """Vectorised synthetic division for prime and quadratic fields."""
-    if len(b) > len(a):
-        return None
-    if field.base is None:
-        p = field.p
-        A = np.array([c.val for c in a], dtype=np.int64)
-        B = np.array([c.val for c in b], dtype=np.int64)
-        lo = len(b)
-        dq = len(a) - lo
-        inv = pow(int(B[-1]), p - 2, p)
-        quo = np.zeros(dq + 1, dtype=np.int64)
-        Bt = B[:-1]
-        for i in range(dq, -1, -1):
-            c = int(A[i + lo - 1])
+def _monic_divisor(field: Fq, B: np.ndarray):
+    """For the coordinate rows B of a divisor with leading coefficient c:
+    the matrix of multiplication by 1/c, and for each basis element b_i the
+    coordinates of b_i B/c without its last coefficient, flattened."""
+    p, e = field.p, field.e
+    if e == 1:
+        # the tensor is [[[1]]]: the coordinate is the element, and 1/c an
+        # integer power; over F_p this set-up is most of a Euclid step
+        inv = pow(int(B[-1, 0]), p - 2, p)
+        return np.array([[inv]]), [B[:-1, 0] * inv % p]
+    T = field._mul_tensor()
+    inv = field._from_coords(B[-1:])[0].inverse()
+    minv = (np.array(field._flatten(inv)) @ T.reshape(e, e * e)).reshape(e, e) % p
+    return minv, list((B[:-1] @ minv % p @ T % p).reshape(e, -1))
+
+
+def _array_divmod(field: Fq, a, b):
+    """Quotient and remainder coefficients of a by b, len(a) >= len(b), by
+    synthetic division on coordinate rows.  Each step subtracts top * x^k *
+    B/c, top the leading coordinates of what is left, and the quotient by
+    B/c is scaled back by 1/c at the end.  Entries are reduced mod p only
+    where they are read: a step adds less than e p^2 to an entry, and
+    p < 2^16, so int64 holds the sum of any realistic number of steps."""
+    p, e = field.p, field.e
+    minv, rows = _monic_divisor(field, field._coords(b))
+    R = field._coords(a).reshape(-1)
+    Q = [None] * (len(a) - len(b) + 1)
+    w = (len(b) - 1) * e
+    for i in range(len(Q) - 1, -1, -1):
+        k = i * e
+        Q[i] = top = [c % p for c in R[k + w:k + w + e].tolist()]
+        for c, row in zip(top, rows):
             if c:
-                f = c * inv % p
-                quo[i] = f
-                if lo > 1:
-                    A[i:i + lo - 1] = (A[i:i + lo - 1] - f * Bt) % p
-                A[i + lo - 1] = 0
-        mk = field._make
-        return [mk(int(v)) for v in quo], [mk(int(v)) for v in A[: lo - 1]]
-    if field.deg == 2 and field.base.base is None:
-        p = field.p
-        base = field.base
-        m0 = field.modulus[0].val
-        m1 = field.modulus[1].val
-        A0 = np.array([c.val[0].val for c in a], dtype=np.int64)
-        A1 = np.array([c.val[1].val for c in a], dtype=np.int64)
-        B0 = np.array([c.val[0].val for c in b], dtype=np.int64)
-        B1 = np.array([c.val[1].val for c in b], dtype=np.int64)
-        lo = len(b)
-        dq = len(a) - lo
-        lead = b[-1]
-        linv = lead.inverse()
-        q0 = np.zeros(dq + 1, dtype=np.int64)
-        q1 = np.zeros(dq + 1, dtype=np.int64)
-        B0t, B1t = B0[:-1], B1[:-1]
-        mk = field._make
-        bmk = base._make
-        for i in range(dq, -1, -1):
-            c0, c1 = int(A0[i + lo - 1]), int(A1[i + lo - 1])
-            if c0 or c1:
-                fe = mk((bmk(c0), bmk(c1))) * linv
-                f0, f1 = fe.val[0].val, fe.val[1].val
-                q0[i], q1[i] = f0, f1
-                if lo > 1:
-                    # (f0 + f1 w)(B0 + B1 w) with w^2 = -m0 - m1 w
-                    A0[i:i + lo - 1] = (A0[i:i + lo - 1] - f0 * B0t + m0 * f1 * B1t) % p
-                    A1[i:i + lo - 1] = (A1[i:i + lo - 1] - f0 * B1t - f1 * B0t + m1 * f1 * B1t) % p
-                A0[i + lo - 1] = 0
-                A1[i + lo - 1] = 0
-        quo = [mk((bmk(int(x)), bmk(int(y)))) for x, y in zip(q0, q1)]
-        rem = [mk((bmk(int(x)), bmk(int(y)))) for x, y in zip(A0[: lo - 1], A1[: lo - 1])]
-        return quo, rem
-    return None
+                R[k:k + w] -= c * row
+    return field._from_coords(np.array(Q) @ minv % p), field._from_coords(R[:w].reshape(-1, e) % p)
 
 
-def _np_gcd_prime(field: Fq, a, b):
-    if field.base is not None:
-        return None
-    p = field.p
-    A = np.array([c.val for c in a], dtype=np.int64)
-    B = np.array([c.val for c in b], dtype=np.int64)
-
-    def trim(X):
-        n = len(X)
-        while n and X[n - 1] == 0:
-            n -= 1
-        return X[:n]
-
-    A, B = trim(A), trim(B)
-    while B.size:
-        if A.size < B.size:
-            A, B = B, A
-            continue
-        lo = B.size
-        inv = pow(int(B[-1]), p - 2, p)
-        for i in range(A.size - lo, -1, -1):
-            c = int(A[i + lo - 1])
-            if c:
-                f = c * inv % p
-                A[i:i + lo] = (A[i:i + lo] - f * B) % p
-        A = trim(A)
+def _array_gcd(field: Fq, a, b):
+    """The coefficients of a gcd of a and b, up to a unit, by Euclid in
+    place on coordinate rows, reduced as in _array_divmod and once more at
+    the end of each division."""
+    p, e = field.p, field.e
+    A, B = field._coords(a).reshape(-1), field._coords(b).reshape(-1)
+    if A.size < B.size:
         A, B = B, A
-    mk = field._make
-    return [mk(int(v)) for v in A]
-
-
-def _np_gcd_quad(field: Fq, a, b):
-    if field.deg != 2 or field.base is None or field.base.base is not None:
-        return None
-    p = field.p
-    m0 = field.modulus[0].val
-    m1 = field.modulus[1].val
-
-    def arrs(cs):
-        lo = np.array([c.val[0].val for c in cs], dtype=np.int64)
-        hi = np.array([c.val[1].val for c in cs], dtype=np.int64)
-        return lo, hi
-
-    def trim(X0, X1):
-        n = len(X0)
-        while n and X0[n - 1] == 0 and X1[n - 1] == 0:
-            n -= 1
-        return X0[:n], X1[:n]
-
-    A0, A1 = trim(*arrs(a))
-    B0, B1 = trim(*arrs(b))
-    mk = field._make
-    bmk = field.base._make
-    while len(B0):
-        if len(A0) < len(B0):
-            A0, A1, B0, B1 = B0, B1, A0, A1
-            continue
-        lo = len(B0)
-        linv = mk((bmk(int(B0[-1])), bmk(int(B1[-1])))).inverse()
-        for i in range(len(A0) - lo, -1, -1):
-            c0, c1 = int(A0[i + lo - 1]), int(A1[i + lo - 1])
-            if c0 or c1:
-                fe = mk((bmk(c0), bmk(c1))) * linv
-                f0, f1 = fe.val[0].val, fe.val[1].val
-                # (f0 + f1 w)(B0 + B1 w) with w^2 = -m0 - m1 w
-                A0[i:i + lo] = (A0[i:i + lo] - f0 * B0 + m0 * f1 * B1) % p
-                A1[i:i + lo] = (A1[i:i + lo] - f0 * B1 - f1 * B0 + m1 * f1 * B1) % p
-        A0, A1 = trim(A0, A1)
-        A0, A1, B0, B1 = B0, B1, A0, A1
-    return [mk((bmk(int(x)), bmk(int(y)))) for x, y in zip(A0, A1)]
+    while B.size:
+        _, rows = _monic_divisor(field, B.reshape(-1, e))
+        w = B.size - e
+        for k in range(A.size - B.size, -1, -e):
+            for c, row in zip(A[k + w:k + w + e].tolist(), rows):
+                c %= p
+                if c:
+                    A[k:k + w] -= c * row
+        A[:w] %= p
+        while w and not any(A[w - e:w].tolist()):
+            w -= e
+        A, B = B, A[:w]
+    return field._from_coords(A.reshape(-1, e))
 
 
 # irreducibility and factorization

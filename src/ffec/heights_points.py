@@ -37,7 +37,7 @@ from .algebra import (
     field_create,
     format_ratfunc,
 )
-from .local import LocalData, curve_analysis, minimal_model_at, torsion_bound
+from .local import LocalData, curve_analysis, torsion_bound
 from .weierstrass import Curve, CurvePoint, Transform
 
 FAMILY_CAP = 2 ** 16
@@ -127,7 +127,8 @@ class _Local:
 
     def __init__(self, M: Curve, ld: LocalData, h: int):
         v = ld.place
-        model, tau = minimal_model_at(M, v)
+        tau = ld.transform_used
+        self.model = model = tau.apply(M)
         self.place = v
         self.deg = v.degree
         self.infinite = v.is_infinite

@@ -241,6 +241,17 @@ def test_import_leaves_sympy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_python_m_ffec():
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ffec", "points", "--p", "3"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert records[-1]["record"] == "summary" and records[-1]["ok"] is True
+    assert by_kind(records, "gram")[0]["rank"] == 2
+
+
 def test_points_unknown_family(capsys):
     code, records, _ = run(capsys, ["points", "--p", "3", "--family", "weird"])
     assert code == 1

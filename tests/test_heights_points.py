@@ -6,6 +6,7 @@ bracketed by its distance to the previous iterate.
 """
 
 import itertools
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ffec.weierstrass import (
     CurvePoint,
     Transform,
     minimal_polynomial_model,
+    parse_curve_file,
 )
 from ffec import heights_points
 from ffec.heights_points import (
@@ -34,7 +36,7 @@ from ffec.heights_points import (
     points_report,
 )
 from ffec.lfunction import analytic_rank, l_polynomial
-from ffec.local import torsion_bound
+from ffec.local import curve_analysis, minimal_model_at, torsion_bound
 
 F9 = field_create(3, 2)
 
@@ -416,3 +418,25 @@ def test_nonminimal_model_gives_same_heights():
             if not P.is_infinity:
                 assert canonical_height(E1, tau.apply_point(P)) == \
                     canonical_height(E, P)
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("source", sorted(f.name for f in DATA.glob("*.curve")) +
+                         ["legendre p=3", "legendre p=5"])
+def test_local_models_are_the_minimal_models(source):
+    """Each place of S takes the model Tate's algorithm left there, as
+    its transform applied to M, and no second lookup: the model and the
+    transform equal those of minimal_model_at."""
+    if source.startswith("legendre"):
+        E = legendre_family(int(source[-1])).curve
+    else:
+        E = parse_curve_file((DATA / source).read_text(encoding="utf-8"))
+    A = curve_analysis(E)
+    places = heights_points._curve_heights(E).places
+    assert [loc.place for loc in places] == [ld.place for ld in A.local]
+    for loc in places:
+        model, tau = minimal_model_at(A.cls.model, loc.place)
+        assert loc.model == model
+        assert loc._tau == (None if tau.is_identity() else tau)
