@@ -28,12 +28,13 @@ PLACE_CAP = 1 << 16
 
 # Poly multiplies, divides and takes gcds on arrays of F_p-coordinates
 # (_array_mul, _array_divmod, _array_gcd), in every field, once an operand
-# has _BIG coefficients; below that its loops over elements are faster.
-# Timed on random polynomials over F_2 .. F_64: a product of two factors of
-# equal length pays off from about 24 coefficients, but a long times a short
-# factor and a gcd over an extension field, whose every Euclid step pays for
-# an inverse and a tensor product, only from about 64.  (A divisor of fewer
-# than about 16 coefficients is faster in the loop at any length.)
+# has _BIG coefficients (a division, once its divisor also has _BIG // 4);
+# below that its loops over elements are faster.  Timed on random
+# polynomials over F_2 .. F_64: a product of two factors of equal length
+# pays off from about 24 coefficients, but a long times a short factor and
+# a gcd over an extension field, whose every Euclid step pays for an
+# inverse and a tensor product, only from about 64; a divisor of fewer than
+# about 16 coefficients is faster in the loop at any length.
 _BIG = 64
 
 
@@ -908,7 +909,9 @@ class Poly:
         dq = len(self.coeffs) - len(o.coeffs)
         if dq < 0:
             return Poly.zero(self.field), self
-        if len(self.coeffs) >= _BIG:
+        # an array step costs a few numpy calls where the loop does len(o)
+        # lookups, so a short divisor stays in the loop
+        if len(self.coeffs) >= _BIG and len(o.coeffs) >= _BIG // 4:
             q, r = _array_divmod(self.field, self.coeffs, o.coeffs)
             return Poly(self.field, q), Poly(self.field, r)
         inv = o.coeffs[-1].inverse()

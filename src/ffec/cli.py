@@ -11,6 +11,7 @@ given input and flag set, except for the "seconds" timing fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import platform
@@ -232,7 +233,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call: set_defaults
+    binds the cmd_* functions as they are named then."""
     parser = _ArgumentParser(
         prog="ffec",
         description="exact arithmetic for elliptic curves over F_q(t)")

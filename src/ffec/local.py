@@ -1,12 +1,17 @@
 """Reduction at places: minimal models, Kodaira types, conductor exponents,
 component counts, fiber point counts, and torsion bounds.
 
-The core is Tate's algorithm, run verbatim in every characteristic.  All
-residue tests (splitness of tangent cones, distinct roots of the auxiliary
-quadratics and cubic) go through polynomial factorization over the residue
-field, which keeps the characteristic-2 and -3 paths on the same code as the
-generic case.  The place at infinity is handled on the s = 1/t chart and the
-resulting transform is pulled back.
+The core is Tate's algorithm, run verbatim in every characteristic on the
+five coefficients as polynomials integral at the place: scaled by the least
+pi^k that makes them integral and cleared of the denominators left, which
+are prime to pi (at infinity, reversed in s = 1/t and run at s = 0).
+v(Delta) is read once from the curve and drops by 12 at each non-minimal
+step; b2, b6 and b8 are formed only where a test reads them, and one
+Transform, pulled back from the s-chart at infinity, is built at the end.
+All residue tests (splitness of tangent cones, distinct roots of the
+auxiliary quadratics and cubic) go through polynomial factorization over the
+residue field, which keeps the characteristic-2 and -3 paths on the same
+code as the generic case.
 
 curve_analysis runs it once per curve, at infinity and at the factors of
 the discriminant of the polynomial minimal model; the bad places, the
@@ -181,52 +186,23 @@ class Conductor:
         return f"Conductor({inside}; deg {self.deg})"
 
 
-class _Frame:
-    """Valuation, reduction, and lifting at one finite place."""
-
-    def __init__(self, field, place: Place):
-        self.F = field
-        self.v = place
-        self.pi = RatFunc(place.poly)
-        self.kappa = place.residue_field()
-
-    def val(self, r: RatFunc):
-        return self.v.valuation(r)
-
-    def redq(self, r: RatFunc, j: int) -> FqElem:
-        """reduce(r / pi^j); requires v(r) >= j."""
-        if r.is_zero():
-            return self.kappa.zero
-        if j:
-            r = r / self.pi ** j
-        return self.v.reduce(r)
-
-    def lift(self, x: FqElem) -> RatFunc:
-        return RatFunc(self.v.lift(x))
-
-
 def _root_of_linear(g: Poly) -> FqElem:
     # g monic linear
     return -g.coeffs[0]
-
-
-def _separable(factors) -> bool:
-    return all(e == 1 for _, e in factors)
 
 
 def _quad_verdict(K, c2, c1, c0):
     """Factor c2*Y^2 + c1*Y + c0 over K.  Returns ("split"|"nonsplit", None)
     for separable quadratics or ("double", root) otherwise."""
     _, fac = factor_poly(Poly(K, [c0, c1, c2]))
-    if _separable(fac):
+    if all(e == 1 for _, e in fac):
         return ("split" if len(fac) == 2 else "nonsplit"), None
     return "double", _root_of_linear(fac[0][0])
 
 
-def _singular_point(fr: _Frame, E: Curve):
-    """Coordinates in kappa of the singular point of the reduced curve."""
-    K = fr.kappa
-    a1, a2, a3, a4, a6 = [fr.redq(a, 0) for a in E.coeffs]
+def _singular_point(K, a1, a2, a3, a4, a6):
+    """Coordinates in K of the singular point of the reduced curve, whose
+    coefficients a1 .. a6 are given in K."""
     if K.p != 2:
         half = K.scalar(2).inverse()
         quarter = half * half
@@ -252,201 +228,222 @@ def _singular_point(fr: _Frame, E: Curve):
     return x0, y0
 
 
-def _count_reduction(fr: _Frame, E: Curve):
-    """a_v at a place of good reduction, or None above the counting cap."""
-    if fr.v.qv > PLACE_CAP:
-        return None
-    K = fr.kappa
-    red = [fr.redq(a, 0) for a in E.coeffs]
-    n_pts = count_ws_points(K, *red)
-    a = fr.v.qv + 1 - n_pts
-    if a * a > 4 * fr.v.qv:
-        raise FFECError("point count violates the Hasse bound")
-    return a
+_WEIGHTS = (1, 2, 3, 4, 6)
 
 
-def _tate_finite(E0: Curve, place: Place):
-    """Tate's algorithm at a finite place.  Returns (LocalData, model)."""
-    F = E0.field
-    fr = _Frame(F, place)
-    K = fr.kappa
-    tau = Transform.identity(F)
-    E = E0
+def _integral_coeffs(E: Curve, v: Place, pi: Poly):
+    """(a, k, D): the coefficients of E scaled by u = 1/(pi^k D), as
+    polynomials (in s = 1/t at infinity).  pi^k is the least scaling that
+    makes them integral at v, and D, prime to pi, the lcm of the
+    denominators left; D = 1 for a polynomial model."""
+    cs = E.coeffs
+    if v.is_infinite:
+        # v(a) = deg den - deg num, and s^{ik} a(1/s) is num reversed to
+        # length ik + deg den over den reversed to its own length
+        k = max([-((a.den.degree - a.num.degree) // i)
+                 for i, a in zip(_WEIGHTS, cs) if a] + [0])
+        parts = [(a.num.reverse(i * k + a.den.degree), a.den.reverse(a.den.degree))
+                 for i, a in zip(_WEIGHTS, cs)]
+    else:
+        m = [v.valuation_poly(a.den) if a.den.degree else 0 for a in cs]
+        k = max(-(-mi // i) for i, mi in zip(_WEIGHTS, m))
+        parts = [(a.num * pi ** (i * k - mi), a.den.exact_div(pi ** mi) if mi else a.den)
+                 for i, a, mi in zip(_WEIGHTS, cs, m)]
+    D = Poly.one(E.field)
+    for _, den in parts:
+        if den.degree > 0:
+            D = (D * den.exact_div(D.gcd(den))).monic()
+    if not D.degree:
+        return [num for num, _ in parts], k, D
+    return ([num * D.exact_div(den) * D ** (i - 1)
+             for i, (num, den) in zip(_WEIGHTS, parts)], k, D)
 
-    def push(step):
-        nonlocal E, tau
-        E = step.apply(E)
-        tau = tau.then(step)
 
-    # scale until every coefficient is integral at the place
-    k = 0
-    for i, a in zip((1, 2, 3, 4, 6), E.coeffs):
-        if not a.is_zero():
-            va = fr.val(a)
-            if va < 0:
-                k = max(k, (-va + i - 1) // i)
-    if k:
-        push(Transform.make(F, u=RatFunc.one(F) / fr.pi ** k))
+def _transform_from_chart(tau: Transform) -> Transform:
+    """The transform in t of one on the chart s = 1/t."""
+    return Transform(*(x.reciprocal_var() for x in (tau.u, tau.r, tau.s, tau.w)))
 
-    def finish(kt, f, split, a_v, vd):
-        n_v = vd - kt.m + 1
-        ld = LocalData(place, kt, n_v, f, split, a_v, vd, tau)
-        return ld, E
 
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 64:
-            raise FFECError("reduction loop failed to terminate")
-        vd = fr.val(E.invariants().delta)
+@functools.lru_cache(maxsize=4096)
+def _tate_local(E: Curve, v: Place) -> LocalData:
+    """Tate's algorithm at v (Silverman, Advanced Topics, IV.9), on the
+    coefficients as polynomials integral at v."""
+    F = E.field
+    if v.field is not F:
+        raise ValueError("place over the wrong constant field")
+    # at infinity the algorithm runs at s = 0 on the chart s = 1/t
+    at = Place(F, Poly.x(F), _checked=True) if v.is_infinite else v
+    pi, K = at.poly, at.residue_field()
+    a, k, D = _integral_coeffs(E, v, pi)
+    vd = v.valuation(E.invariants().delta) + 12 * k
+    zero = Poly.zero(F)
+    tau = [Poly.one(F), zero, zero, zero]  # (pi^e, r, s, w) after the scaling
+
+    def move(r=zero, s=zero, w=zero):
+        """x = x' + r, then y = y' + s x', then y = y' + w."""
+        a1, a2, a3, a4, a6 = a
+        if r:
+            r2 = r * r
+            a6 = a6 + r * a4 + r2 * a2 + r2 * r
+            a4 = a4 + 2 * r * a2 + 3 * r2
+            a3 = a3 + r * a1
+            a2 = a2 + 3 * r
+        if s:
+            a4 = a4 - s * a3
+            a2 = a2 - s * a1 - s * s
+            a1 = a1 + 2 * s
+        if w:
+            a6 = a6 - w * a3 - w * w
+            a4 = a4 - w * a1
+            a3 = a3 + 2 * w
+        a[:] = a1, a2, a3, a4, a6
+        u, r0, s0, w0 = tau  # composed by the rule of Transform.then
+        u2 = u * u
+        tau[1:] = r0 + u2 * r, s0 + u * s, w0 + u2 * (r * s0 + u * w)
+
+    def red(f, j=0):
+        """The residue of f / pi^j, for f divisible by pi^j."""
+        for _ in range(j):
+            f = f.exact_div(pi)
+        return at.reduce_poly(f)
+
+    def below(f, j):
+        """Whether v(f) < j."""
+        for _ in range(j):
+            f, rem = divmod(f, pi)
+            if rem:
+                return True
+        return False
+
+    def finish(kt, f, split, a_v):
+        T = Transform(*(RatFunc(x) for x in tau))
+        if k or D.degree:
+            T = Transform.make(F, u=RatFunc(pi ** k * D).reciprocal()).then(T)
+        if v.is_infinite:
+            T = _transform_from_chart(T)
+        return LocalData(v, kt, vd - kt.m + 1, f, split, a_v, vd, T)
+
+    for _ in range(64):
         if vd == 0:
-            return finish(KodairaType.I(0), 1, None, _count_reduction(fr, E), 0)
-        vd = int(vd)
+            a_v = None
+            if at.qv <= PLACE_CAP:
+                a_v = at.qv + 1 - count_ws_points(K, *(red(x) for x in a))
+                if a_v * a_v > 4 * at.qv:
+                    raise FFECError("point count violates the Hasse bound")
+            return finish(KodairaType.I(0), 1, None, a_v)
 
-        x0, y0 = _singular_point(fr, E)
+        x0, y0 = _singular_point(K, *(red(x) for x in a))
         if x0 or y0:
-            push(Transform.make(F, r=fr.lift(x0), w=fr.lift(y0)))
-        a1, a2, a3, a4, a6 = E.coeffs
-        iv = E.invariants()
+            move(r=at.lift(x0), w=at.lift(y0))
+        r1, r2 = red(a[0]), red(a[1])
 
-        if fr.val(iv.b2) == 0:
-            # nodal with distinct tangent slopes: I_n
-            verdict, _ = _quad_verdict(K, K.one, fr.redq(a1, 0), -fr.redq(a2, 0))
+        if r1 * r1 + 4 * r2:
+            # v(b2) = 0, nodal with distinct tangent slopes: I_n
+            split = _quad_verdict(K, K.one, r1, -r2)[0] == "split"
+            f = vd if split else vd // 2 + 1
+            return finish(KodairaType.I(vd), f, split, 1 if split else -1)
+        a1, a2, a3, a4, a6 = a
+        if below(a6, 2):
+            return finish(KodairaType.II(), 1, None, 0)
+        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+        if below(b8, 3):
+            return finish(KodairaType.III(), 2, None, 0)
+        if below(a3 * a3 + 4 * a6, 3):  # b6
+            verdict, _ = _quad_verdict(K, K.one, red(a3, 1), -red(a6, 2))
             split = verdict == "split"
-            n = vd
-            if split:
-                f = n
-            else:
-                f = n // 2 + 1 if n % 2 == 0 else (n + 1) // 2
-            return finish(KodairaType.I(n), f, split, 1 if split else -1, vd)
-        if fr.val(a6) < 2:
-            return finish(KodairaType.II(), 1, None, 0, vd)
-        if fr.val(iv.b8) < 3:
-            return finish(KodairaType.III(), 2, None, 0, vd)
-        if fr.val(iv.b6) < 3:
-            verdict, _ = _quad_verdict(K, K.one, fr.redq(a3, 1), -fr.redq(a6, 2))
-            split = verdict == "split"
-            return finish(KodairaType.IV(), 3 if split else 2, split, 0, vd)
+            return finish(KodairaType.IV(), 3 if split else 2, split, 0)
 
         # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
-        verdict, alpha = _quad_verdict(K, K.one, fr.redq(a1, 0), -fr.redq(a2, 0))
+        verdict, alpha = _quad_verdict(K, K.one, r1, -r2)
         if verdict != "double":
             raise FFECError("tangent quadratic must degenerate here")
         if alpha:
-            push(Transform.make(F, s=fr.lift(alpha)))
-            a1, a2, a3, a4, a6 = E.coeffs
-        verdict, beta = _quad_verdict(K, K.one, fr.redq(a3, 1), -fr.redq(a6, 2))
+            move(s=at.lift(alpha))
+        verdict, beta = _quad_verdict(K, K.one, red(a[2], 1), -red(a[4], 2))
         if verdict != "double":
             raise FFECError("vertical quadratic must degenerate here")
         if beta:
-            push(Transform.make(F, w=fr.pi * fr.lift(beta)))
-            a1, a2, a3, a4, a6 = E.coeffs
-        assert fr.val(a1) >= 1 and fr.val(a2) >= 1
-        assert fr.val(a3) >= 2 and fr.val(a4) >= 2 and fr.val(a6) >= 3
+            move(w=pi * at.lift(beta))
+        a1, a2, a3, a4, a6 = a
+        assert not (below(a1, 1) or below(a2, 1) or below(a3, 2)
+                    or below(a4, 2) or below(a6, 3))
 
-        cubic = Poly(K, [fr.redq(a6, 3), fr.redq(a4, 2), fr.redq(a2, 1), K.one])
+        cubic = Poly(K, [red(a6, 3), red(a4, 2), red(a2, 1), K.one])
         _, fac = factor_poly(cubic)
         mults = sorted(e for _, e in fac)
         if mults[-1] == 1:
             # separable cubic: I0*, components split per the orbit pattern
             orbits = len(fac)
             split = {3: True, 2: False, 1: None}[orbits]
-            return finish(KodairaType.Istar(0), 2 + orbits, split, 0, vd)
+            return finish(KodairaType.Istar(0), 2 + orbits, split, 0)
 
         if mults == [1, 2]:
             # one double root: the I_n* chain
             gamma = next(_root_of_linear(g) for g, e in fac if e == 2)
             if gamma:
-                push(Transform.make(F, r=fr.pi * fr.lift(gamma)))
-                a1, a2, a3, a4, a6 = E.coeffs
-            assert fr.val(a2) == 1 and fr.val(a4) >= 3 and fr.val(a6) >= 4
+                move(r=pi * at.lift(gamma))
+            a1, a2, a3, a4, a6 = a
+            assert below(a2, 2) and not (below(a2, 1) or below(a4, 3)
+                                         or below(a6, 4))
             step = 2
             while True:
                 if step > vd:
                     raise FFECError("I_n* chain failed to terminate")
                 verdict, beta = _quad_verdict(
-                    K, K.one, fr.redq(a3, step), -fr.redq(a6, 2 * step))
+                    K, K.one, red(a[2], step), -red(a[4], 2 * step))
                 if verdict != "double":
                     nu = 2 * step - 3
                     split = verdict == "split"
                     break
                 if beta:
-                    push(Transform.make(F, w=fr.pi ** step * fr.lift(beta)))
-                    a1, a2, a3, a4, a6 = E.coeffs
+                    move(w=pi ** step * at.lift(beta))
                 verdict, gamma = _quad_verdict(
-                    K, fr.redq(a2, 1), fr.redq(a4, step + 1),
-                    fr.redq(a6, 2 * step + 1))
+                    K, red(a[1], 1), red(a[3], step + 1), red(a[4], 2 * step + 1))
                 if verdict != "double":
                     nu = 2 * step - 2
                     split = verdict == "split"
                     break
                 if gamma:
-                    push(Transform.make(F, r=fr.pi ** step * fr.lift(gamma)))
-                    a1, a2, a3, a4, a6 = E.coeffs
+                    move(r=pi ** step * at.lift(gamma))
                 step += 1
             f = 5 + nu if split else 4 + nu
-            return finish(KodairaType.Istar(nu), f, split, 0, vd)
+            return finish(KodairaType.Istar(nu), f, split, 0)
 
         # triple root
         gamma = _root_of_linear(fac[0][0])
         if gamma:
-            push(Transform.make(F, r=fr.pi * fr.lift(gamma)))
-            a1, a2, a3, a4, a6 = E.coeffs
-        assert fr.val(a2) >= 2 and fr.val(a4) >= 3 and fr.val(a6) >= 4
-        verdict, beta = _quad_verdict(K, K.one, fr.redq(a3, 2), -fr.redq(a6, 4))
+            move(r=pi * at.lift(gamma))
+        a1, a2, a3, a4, a6 = a
+        assert not (below(a2, 2) or below(a4, 3) or below(a6, 4))
+        verdict, beta = _quad_verdict(K, K.one, red(a3, 2), -red(a6, 4))
         if verdict != "double":
             split = verdict == "split"
-            return finish(KodairaType.IVstar(), 7 if split else 5, split, 0, vd)
+            return finish(KodairaType.IVstar(), 7 if split else 5, split, 0)
         if beta:
-            push(Transform.make(F, w=fr.pi ** 2 * fr.lift(beta)))
-            a1, a2, a3, a4, a6 = E.coeffs
-        assert fr.val(a3) >= 3 and fr.val(a6) >= 5
-        if fr.val(a4) < 4:
-            return finish(KodairaType.IIIstar(), 8, None, 0, vd)
-        if fr.val(a6) < 6:
-            return finish(KodairaType.IIstar(), 9, None, 0, vd)
+            move(w=pi ** 2 * at.lift(beta))
+        a1, a2, a3, a4, a6 = a
+        assert not (below(a3, 3) or below(a6, 5))
+        if below(a4, 4):
+            return finish(KodairaType.IIIstar(), 8, None, 0)
+        if below(a6, 6):
+            return finish(KodairaType.IIstar(), 9, None, 0)
         # non-minimal: all a_i divisible by pi^i after the translations
-        push(Transform.make(F, u=fr.pi))
-
-
-def _to_inf_chart(E: Curve) -> Curve:
-    cs = [a.reciprocal_var() for a in E.coeffs]
-    return Curve(E.field, *cs, var="s")
-
-
-def _transform_from_chart(tau: Transform) -> Transform:
-    F = tau.u.num.field
-    return Transform.make(
-        F, u=tau.u.reciprocal_var(), r=tau.r.reciprocal_var(),
-        s=tau.s.reciprocal_var(), w=tau.w.reciprocal_var())
-
-
-@functools.lru_cache(maxsize=4096)
-def _tate_local(E: Curve, v: Place):
-    if v.is_infinite:
-        F = E.field
-        Es = _to_inf_chart(E)
-        s_place = Place.finite(Poly.x(F))
-        ld, _ = _tate_finite(Es, s_place)
-        tau = _transform_from_chart(ld.transform_used)
-        model = tau.apply(E)
-        ld = dataclasses.replace(ld, place=v, transform_used=tau)
-        return ld, model
-    if v.field is not E.field:
-        raise ValueError("place over the wrong constant field")
-    return _tate_finite(E, v)
+        a[:] = [x.exact_div(pi ** i) for i, x in zip(_WEIGHTS, a)]
+        tau[0] = tau[0] * pi
+        vd -= 12
+    raise FFECError("reduction loop failed to terminate")
 
 
 def tate_type(E: Curve, v: Place) -> LocalData:
     """Run Tate's algorithm at v (finite or infinite)."""
-    return _tate_local(E, v)[0]
+    return _tate_local(E, v)
 
 
 def minimal_model_at(E: Curve, v: Place):
     """A model of E integral and minimal at v, with the transform that
     produced it."""
-    ld, model = _tate_local(E, v)
-    return model, ld.transform_used
+    tau = _tate_local(E, v).transform_used
+    return tau.apply(E), tau
 
 
 @dataclasses.dataclass(frozen=True)

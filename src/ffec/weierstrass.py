@@ -237,10 +237,6 @@ class Transform:
         return Transform(tu, _as_ratfunc(field, r), _as_ratfunc(field, s),
                          _as_ratfunc(field, w))
 
-    @staticmethod
-    def identity(field: Fq) -> "Transform":
-        return Transform.make(field)
-
     def is_identity(self) -> bool:
         f = self.u.field
         return (self.u == RatFunc.one(f) and self.r.is_zero()
@@ -312,35 +308,31 @@ class Classification:
     transform: Transform
 
 
-def _coefficient_primes(E: Curve):
-    seen = {}
-    for i, ai in zip((1, 2, 3, 4, 6), E.coeffs):
-        if ai.is_zero():
-            continue
-        for part in (ai.num, ai.den):
-            if part.degree >= 1:
-                for g, _ in factor_poly(part)[1]:
-                    seen[g] = True
-    return list(seen)
-
-
 def minimal_polynomial_model(E: Curve) -> tuple[Curve, Transform]:
     """Rescale by u = prod pi^{e_pi} so every coefficient is a polynomial
-    with as little content as the weights allow."""
+    with as little content as the weights allow.  Only a prime dividing
+    every nonzero numerator can have e_pi > 0, and only one dividing a
+    denominator e_pi < 0, so those are the primes factored; E itself is
+    the model when u = 1."""
     field = E.field
+    cs = [(i, ai) for i, ai in zip((1, 2, 3, 4, 6), E.coeffs) if ai]
+    g = Poly.zero(field)
+    for _, ai in cs:
+        if g.degree != 0:
+            g = g.gcd(ai.num)
+    primes = {}
+    for part in [g] + [ai.den for _, ai in cs]:
+        if part.degree >= 1:
+            for h, _ in factor_poly(part)[1]:
+                primes[h] = True
     u = RatFunc.one(field)
-    for g in _coefficient_primes(E):
-        v = Place(field, g, _checked=True)
-        e = None
-        for i, ai in zip((1, 2, 3, 4, 6), E.coeffs):
-            if ai.is_zero():
-                continue
-            cand = v.valuation(ai) // i
-            e = cand if e is None else min(e, cand)
+    for h in primes:
+        v = Place(field, h, _checked=True)
+        e = min(v.valuation(ai) // i for i, ai in cs)
         if e:
-            u = u * RatFunc(g) ** e
+            u = u * RatFunc(h) ** e
     tau = Transform.make(field, u=u)
-    return tau.apply(E), tau
+    return (E if tau.is_identity() else tau.apply(E)), tau
 
 
 def classify(E: Curve) -> Classification:

@@ -30,6 +30,9 @@ CASES = {
     "analyze-e7-f2": ["analyze", "--curve", "e7-f2.curve"],
     "analyze-e9-f3": ["analyze", "--curve", "e9-f3.curve"],
     "analyze-first-example-f4": ["analyze", "--curve", "first-example-f4.curve"],
+    "analyze-additive-f5": ["analyze", "--curve", "additive-f5.curve"],
+    "analyze-degree-two-place-f5": ["analyze", "--curve", "degree-two-place-f5.curve"],
+    "analyze-non-minimal-f5": ["analyze", "--curve", "non-minimal-f5.curve"],
 }
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffec import catalog
+from ffec import catalog, local
 from ffec.algebra import (
     CapError,
     Place,
@@ -17,9 +17,11 @@ from ffec.algebra import (
 from ffec.local import (
     Conductor,
     KodairaType,
+    LocalData,
     UndefinedRowError,
     bad_reduction,
     conductor,
+    curve_analysis,
     fiber_counts,
     fiber_table_row,
     minimal_model_at,
@@ -381,3 +383,78 @@ def test_conductor_entries_sorted():
     assert C.entries[0][0].is_infinite
     assert C.exponent(Place.infinite(F5)) == 2
     assert C.exponent(Place.finite(Poly(F5, [3, 1]))) == 0
+
+
+def unit_at(F, v, rng, integral=False):
+    """A random rational function that is a unit at v (only integral at v
+    when integral is set): numerator and denominator prime to the place, or
+    of equal degree at infinity."""
+    while True:
+        den = rand_poly(F, 2, rng).num
+        if den.degree < 1 or (v.poly is not None and not v.reduce_poly(den)):
+            continue
+        num = rand_poly(F, int(den.degree), rng).num
+        if v.poly is None:
+            ok = integral or num.degree == den.degree
+        else:
+            ok = integral or bool(v.reduce_poly(num))
+        if num and ok:
+            return RatFunc(num, den.monic())
+
+
+def fingerprint(ld):
+    return (str(ld.type), ld.n_v, ld.f_v, ld.split, ld.a_v, ld.vdelta_min)
+
+
+def check_local_data(E, ld):
+    """transform_used makes E integral at the place, with v(Delta) the
+    minimal one, and Ogg's relation holds."""
+    v = ld.place
+    M = ld.transform_used.apply(E)
+    assert all(a.is_zero() or v.valuation(a) >= 0 for a in M.coeffs), (E, ld)
+    if not v.is_infinite:
+        # the denominators prime to the place are cleared as well
+        assert all(a.is_polynomial() for a in M.coeffs), (E, ld)
+    assert v.valuation(M.invariants().delta) == ld.vdelta_min, (E, ld)
+    assert ld.vdelta_min == ld.n_v + ld.m_v - 1, (E, ld)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_tate_seeded_curves(q, rng):
+    p = 2 if q == 4 else q
+    F = field_create(p, 2 if q == 4 else 1)
+    checked = 0
+    while checked < 12:
+        cs = [rand_poly(F, d, rng) for d in (1, 2, 2, 3, 4)]
+        try:
+            E = Curve(F, *cs)
+            curve_analysis(E)
+        except NotEllipticError:
+            continue
+        for ld in curve_analysis(E).local:
+            v = ld.place
+            assert fingerprint(tate_type(E, v)) == fingerprint(ld)
+            check_local_data(E, ld)
+            pi = RatFunc.t(F) ** -1 if v.is_infinite else RatFunc(v.poly)
+            moves = [
+                Transform.make(F, u=unit_at(F, v, rng), r=unit_at(F, v, rng, True),
+                               s=unit_at(F, v, rng, True), w=unit_at(F, v, rng, True)),
+                Transform.make(F, u=pi),  # a_i / pi^i: the input scaling
+                Transform.make(F, u=1 / pi),  # a_i pi^i: a non-minimal step
+            ]
+            for tau in moves:
+                E2 = tau.apply(E)
+                ld2 = tate_type(E2, v)
+                assert fingerprint(ld2) == fingerprint(ld), (E, tau, ld, ld2)
+                check_local_data(E2, ld2)
+            checked += 1
+
+
+def test_tate_cache_holds_local_data():
+    # perfbench reads the cache counters on every run
+    E = catalog.e7(F5)
+    ld = tate_type(E, Place.infinite(F5))
+    assert isinstance(local._tate_local(E, Place.infinite(F5)), LocalData)
+    assert local._tate_local(E, Place.infinite(F5)) is ld
+    info = local._tate_local.cache_info()
+    assert info.hits >= 1 and info.currsize >= 1

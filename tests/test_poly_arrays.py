@@ -1,7 +1,8 @@
 """Long-polynomial arithmetic against the schoolbook.
 
 From _BIG coefficients on, Poly multiplies, divides and takes gcds on
-coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd).  The
+coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd); a
+division goes there only when its divisor has _BIG // 4 coefficients too.  The
 reference below works on coefficient lists with FqElem operations only, so
 it shares nothing with those paths; lengths on both sides of _BIG also check
 that the two routes meet at the threshold.
@@ -89,7 +90,8 @@ def test_divmod_matches_schoolbook(field, rng):
     F, els = field
     for n in LENGTHS:
         a = rand_poly(F, n, rng, els)
-        for m in (n // 2, n, 1, 2):
+        # divisors short of _BIG // 4 take the loop even for a long dividend
+        for m in (n // 2, n, 1, 2, _BIG // 4 - 1, _BIG // 4, _BIG // 4 + 1):
             b = rand_poly(F, m, rng, els)
             q, r = divmod(a, b)
             wq, wr = ref_divmod(a.coeffs, b.coeffs, F.zero)

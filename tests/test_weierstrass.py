@@ -6,8 +6,10 @@ from ffec import catalog
 from ffec.algebra import (
     FFECError,
     ParseError,
+    Place,
     Poly,
     RatFunc,
+    factor_poly,
     field_create,
     format_ratfunc,
 )
@@ -301,6 +303,35 @@ def test_classify_denominator_content():
     assert c.height == 1
     for a in c.model.coeffs:
         assert a.is_polynomial()
+
+
+def test_minimal_model_scaling_against_every_prime(rng):
+    # the reference factors every numerator and denominator
+    def reference_u(E):
+        F = E.field
+        cs = [(i, a) for i, a in zip((1, 2, 3, 4, 6), E.coeffs) if a]
+        primes = {g for _, a in cs for part in (a.num, a.den) if part.degree >= 1
+                  for g, _ in factor_poly(part)[1]}
+        u = RatFunc.one(F)
+        for g in primes:
+            v = Place(F, g, _checked=True)
+            u = u * RatFunc(g) ** min(v.valuation(a) // i for i, a in cs)
+        return u
+
+    for F in (F2, F3, F5):
+        t = RatFunc.t(F)
+        for mk in (catalog.e7, catalog.e8, catalog.e9, catalog.first_example):
+            M, tau = minimal_polynomial_model(mk(F))
+            assert minimal_polynomial_model(M)[0] is M
+            for _ in range(3):
+                num = Poly(F, [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(2)])
+                den = Poly(F, [rng.randrange(1, F.q), rng.randrange(F.q), 1])
+                scale = (t + rng.randrange(F.q)) ** rng.randrange(3)
+                E = Transform.make(F, u=RatFunc(num) * scale / RatFunc(den)).apply(M)
+                M2, tau2 = minimal_polynomial_model(E)
+                assert tau2.u == reference_u(E), E
+                assert tau2.apply(E) == M2
+                assert all(a.is_polynomial() for a in M2.coeffs)
 
 
 def test_height_monotone_under_base_change():
