@@ -12,6 +12,7 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -511,43 +512,16 @@ class Fq:
         """A square root of x, or None if x is not a square.
 
         In characteristic 2 every element has a unique square root.  In odd
-        characteristic the returned root is deterministic.
+        characteristic x = g^k is a square iff k is even, and the root is
+        g^(k/2), read off the field's table; a field above the cap has none
+        and raises CapError.
         """
         if not x:
             return self.zero
         if self.p == 2:
             return x ** (self.q // 2)
-        if x ** ((self.q - 1) // 2) is not self.one:
-            return None
-        if self.q % 4 == 3:
-            return x ** ((self.q + 1) // 4)
-        # Tonelli-Shanks with the least non-residue as auxiliary element
-        q1 = self.q - 1
-        s = 0
-        while q1 % 2 == 0:
-            q1 //= 2
-            s += 1
-        z = None
-        for cand in self.elements():
-            if cand and cand ** ((self.q - 1) // 2) is not self.one:
-                z = cand
-                break
-        m = s
-        c = z ** q1
-        t = x ** q1
-        r = x ** ((q1 + 1) // 2)
-        while t is not self.one:
-            i = 0
-            tt = t
-            while tt is not self.one:
-                tt = tt * tt
-                i += 1
-            b = c ** (2 ** (m - i - 1))
-            m = i
-            c = b * b
-            t = t * c
-            r = r * b
-        return r
+        zt = self.zech()
+        return None if x.log % 2 else zt.exp[x.log // 2]
 
     def element_order(self, x: FqElem) -> int:
         if not x:
@@ -1656,6 +1630,37 @@ def reduce_at(r: RatFunc | Poly, v: Place) -> FqElem:
             return r[0] if r.coeffs else v.field.zero
         return v.reduce_poly(r)
     return v.reduce(r)
+
+
+@dataclasses.dataclass(frozen=True)
+class OrbitDecomposition:
+    d: int
+    q: int
+    orbits: tuple
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(len(o) for o in self.orbits)
+
+
+def orbit_decomposition(d: int, q: int) -> OrbitDecomposition:
+    """Partition Z/dZ into orbits of j -> qj mod d, listed by least element,
+    each orbit sorted."""
+    if math.gcd(d, q) != 1:
+        raise ValueError(f"gcd(d, q) = {math.gcd(d, q)} must be 1")
+    seen = bytearray(d)
+    orbits = []
+    for j in range(d):
+        if seen[j]:
+            continue
+        orb = []
+        k = j
+        while not seen[k]:
+            seen[k] = 1
+            orb.append(k)
+            k = k * q % d
+        orbits.append(tuple(sorted(orb)))
+    return OrbitDecomposition(d, q, tuple(orbits))
 
 
 def mult_order(q: int, d: int) -> int:

@@ -99,10 +99,10 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _emit_l_record(em: Emitter, L, tol: float):
+def _emit_l_record(em: Emitter, L):
     eps = check_functional_equation(L)
     rank = analytic_rank(L)
-    rh = check_rh(L, tol)
+    rh = check_rh(L)
     em.record("lreport", constant=False, q=L.q, N=L.N, coeffs=list(L.coeffs),
               epsilon=eps, analytic_rank=rank, rh=rh, l=str(L))
     em.human(f"L = {L} over q = {L.q}: rank {rank}, epsilon {eps:+d}, "
@@ -145,8 +145,7 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
               nprime_deg=A.nprime_deg)
     em.human(f"height {cls.height}, {len(A.bad)} bad places, "
              f"conductor degree {cond.deg}")
-    L = l_polynomial(E)
-    _emit_l_record(em, L, args.tol)
+    _emit_l_record(em, l_polynomial(E))
 
 
 def cmd_tower(args, em: Emitter, text: str) -> None:
@@ -163,13 +162,10 @@ def cmd_tower(args, em: Emitter, text: str) -> None:
                   nprime_deg=res["nprime_deg"], warning=res["warning"])
         em.human(f"observed defect c_obs = {res['c_obs']}")
     else:
-        L = tower_l(E, args.d, use_mu_d=args.mu)
-        _emit_l_record(em, L, args.tol)
+        _emit_l_record(em, tower_l(E, args.d, use_mu_d=args.mu))
 
 
 def cmd_points(args, em: Emitter, text: str | None) -> None:
-    if args.family != "legendre":
-        raise ValueError(f"unknown family {args.family!r}")
     fam = legendre_family(args.p, args.f)
     rep = points_report(fam)
     em.record("family", curve=rep["curve"], q=rep["q"], d=rep["d"])
@@ -246,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--curve", required=True, metavar="FILE",
                        help="curve file (p = , e = , a1 = ... lines)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance for the root-size check")
         p.set_defaults(fn=fn)
         return p
 
@@ -263,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extend constants to contain the d-th roots of unity")
 
     p = sub.add_parser("points", help="explicit point family and its heights")
-    p.add_argument("--family", default="legendre", help="family name")
     p.add_argument("--p", type=int, required=True, help="odd characteristic")
     p.add_argument("--f", type=int, default=1, help="q = p^f")
     p.set_defaults(fn=cmd_points)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    PLACE_CAP,
     FFECError,
     FqElem,
     Poly,
@@ -39,8 +40,6 @@ from .algebra import (
 )
 from .local import LocalData, curve_analysis, torsion_bound
 from .weierstrass import Curve, CurvePoint, Transform
-
-FAMILY_CAP = 2 ** 16
 
 
 class TorsionInconclusive(FFECError):
@@ -431,7 +430,7 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
         raise ValueError("the constant-field exponent must be positive")
     q = p ** f
     d = q + 1
-    if p ** (2 * f) > FAMILY_CAP:
+    if p ** (2 * f) > PLACE_CAP:
         raise FFECError(f"constant field F_{p ** (2 * f)} exceeds the cap")
     F = field_create(p, 2 * f)
     zeta = F.canonical_generator() ** ((F.q - 1) // d)

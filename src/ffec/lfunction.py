@@ -12,17 +12,19 @@ functional equation.
 Places dividing the discriminant of the minimal model, and infinity, take
 their factors from the curve's one analysis (local.curve_analysis), which
 ran Tate's algorithm there.  The good places are handled one degree d at a
-time: every place of degree d has a residue field isomorphic to one field
-K = F_{q^d}, built once per (F_q, d) and cached with its Zech table, and the
-places are the Frobenius orbits of size d on K, enumerated as orbits of
-k -> qk mod (q^d - 1) on exponents of K's generator (all of F_q, 0
-included, for d = 1).  The model's coefficients are evaluated at one
-element of each orbit in exponent arithmetic and its points counted over K.
-For each degree, the good orbits plus the bad places must number
-place_count(q, d), which cross-checks the evaluation against the factored
-discriminant.  A degree with q^d above PLACE_CAP raises CapError before its
-points are counted, and before any point is counted if the expansion must
-reach it (q^(N//2 + 1) > PLACE_CAP).
+time by _good_counts, the one count of good places in the program (the
+torsion bound reads it too): every place of degree d has a residue field
+isomorphic to one field K = F_{q^d}, built once per (F_q, d) and cached
+with its Zech table, and the places are the Frobenius orbits of size d on
+K, the orbits of k -> qk mod (q^d - 1) on exponents of K's generator
+(algebra.orbit_decomposition; all of F_q, 0 included, for d = 1).  The
+model's coefficients are evaluated at the least element of each orbit in
+exponent arithmetic and its points counted over K.  For each degree, the
+good orbits plus the bad places must number place_count(q, d), which
+cross-checks the evaluation against the factored discriminant.  A degree
+with q^d above PLACE_CAP raises CapError before its points are counted, and
+before any point is counted if the expansion must reach it
+(q^(N//2 + 1) > PLACE_CAP).
 
 Constant curves have a closed-form rational L-function instead (constant_l)
 and an independent per-degree Euler product (constant_euler_series) used to
@@ -48,6 +50,7 @@ from .algebra import (
     field_create,
     count_ws_points,
     iter_monic_irreducibles,
+    orbit_decomposition,
     place_count,
 )
 from .weierstrass import Curve, constant_embedding
@@ -194,25 +197,12 @@ def _degree_field(F: Fq, d: int) -> Fq:
 
 def _place_orbits(q: int, d: int) -> list:
     """One element per place of F_q(t) of degree d, as a generator exponent
-    in the degree-d field: the places are the Frobenius orbits of size d of
-    k -> qk mod (q^d - 1).  For d = 1 every element of F_q is a place, and
-    None stands for 0."""
-    M = q ** d - 1
+    in the degree-d field: the least element of each Frobenius orbit of
+    size d of k -> qk mod (q^d - 1).  For d = 1 every element of F_q is a
+    place, and None stands for 0."""
     if d == 1:
-        return [None] + list(range(M))
-    seen = bytearray(M)
-    reps = []
-    for k in range(M):
-        if seen[k]:
-            continue
-        j, size = k, 0
-        while not seen[j]:
-            seen[j] = 1
-            j = j * q % M
-            size += 1
-        if size == d:
-            reps.append(k)
-    return reps
+        return [None] + list(range(q - 1))
+    return [o[0] for o in orbit_decomposition(q ** d - 1, q).orbits if len(o) == d]
 
 
 def _log_coeffs(f: Poly, K: Fq) -> list:
@@ -237,6 +227,28 @@ def _log_eval(terms, k, M: int, Z) -> int | None:
             z = Z[(e - acc) % M]
             acc = None if z < 0 else (acc + z) % M
     return acc
+
+
+def _good_counts(M: Curve, d: int):
+    """#M(K) at one place of each good Frobenius orbit of degree d, in
+    orbit order, where M is a polynomial model and K = _degree_field(F, d)
+    the shared residue field: a place is good when Delta(M) does not vanish
+    at it.  The model's coefficients are evaluated in exponent arithmetic."""
+    F = M.field
+    qv = F.q ** d
+    K = _degree_field(F, d)
+    zt = K.zech()
+    Z, exp, zero = zt.zech, zt.exp, K.zero
+    terms = [_log_coeffs(r.num, K) for r in M.coeffs]
+    dterms = _log_coeffs(M.invariants().delta.num, K)
+    for k in _place_orbits(F.q, d):
+        if _log_eval(dterms, k, qv - 1, Z) is None:
+            continue
+        cs = []
+        for logs in terms:
+            e = _log_eval(logs, k, qv - 1, Z)
+            cs.append(zero if e is None else exp[e])
+        yield count_ws_points(K, *cs)
 
 
 def _fe_sign(c, q: int, N: int, d: int):
@@ -282,8 +294,7 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
     if A.cls.constant:
         raise FFECError("constant curve: L is a rational function, use constant_l")
 
-    F = E.field
-    q = F.q
+    q = E.field.q
     N = A.conductor.deg - 4
     if N < 0:
         raise FFECError(f"conductor degree {N + 4} is impossible for a non-constant curve")
@@ -303,8 +314,6 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
         elif ld.type.is_multiplicative:
             _absorb_mult(series, d, ld.a_v)
 
-    M = A.cls.model
-    delta = M.invariants().delta.num
     cap = next(d for d in itertools.count(1) if q ** d > PLACE_CAP)
     eps = None
     d = 0
@@ -313,21 +322,10 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
         if max(d, N // 2 + 1) >= cap:
             raise CapError(f"cannot count points at places of degree {cap}: q_v = {q ** cap}")
         qv = q ** d
-        K = _degree_field(F, d)
-        zt = K.zech()
-        Z, exp, zero = zt.zech, zt.exp, K.zero
-        terms = [_log_coeffs(r.num, K) for r in M.coeffs]
-        dterms = _log_coeffs(delta, K)
         good = 0
-        for k in _place_orbits(q, d):
-            if _log_eval(dterms, k, qv - 1, Z) is None:
-                continue
+        for n in _good_counts(A.cls.model, d):
             good += 1
-            cs = []
-            for logs in terms:
-                e = _log_eval(logs, k, qv - 1, Z)
-                cs.append(zero if e is None else exp[e])
-            _absorb_good(series, d, qv + 1 - count_ws_points(K, *cs), qv)
+            _absorb_good(series, d, qv + 1 - n, qv)
         if good + n_bad[d] != place_count(q, d):
             raise FFECError(
                 f"degree {d}: {good} good orbits and {n_bad[d]} bad places, "
@@ -374,11 +372,9 @@ class ConstantL:
         return tuple(out)
 
 
-def constant_l(a: int, q: int, g_C: int = 0) -> ConstantL:
+def constant_l(a: int, q: int) -> ConstantL:
     """Closed-form L-function of the constant curve with trace a over F_q,
     base P^1.  Requires |a| <= 2 sqrt(q)."""
-    if g_C != 0:
-        raise ValueError("only a genus-0 base is supported")
     if a * a > 4 * q:
         raise ValueError(f"|a| = {abs(a)} violates the Hasse bound for q = {q}")
     return ConstantL(((1, -a, q), (1, -a * q, q ** 3)), q)
@@ -489,8 +485,12 @@ def _squarefree_part(coeffs):
     return out
 
 
-def check_rh(L: LPoly, tol: float = 1e-9) -> bool:
-    """Whether every inverse root of L has absolute value q within tol*q.
+# relative tolerance of the root-size check
+RH_TOL = 1e-9
+
+
+def check_rh(L: LPoly) -> bool:
+    """Whether every inverse root of L has absolute value q within RH_TOL*q.
 
     Roots come from the companion matrix of the exact squarefree part, so
     repeated factors such as (1 - qT)^N do not degrade the accuracy."""
@@ -498,7 +498,7 @@ def check_rh(L: LPoly, tol: float = 1e-9) -> bool:
         return True
     sq = _squarefree_part(L.coeffs)
     roots = np.roots([float(c) for c in reversed(sq)])
-    return bool(max(abs(abs(1.0 / r) - L.q) for r in roots) <= tol * L.q)
+    return bool(max(abs(abs(1.0 / r) - L.q) for r in roots) <= RH_TOL * L.q)
 
 
 def _divide_once(coeffs, q: int):

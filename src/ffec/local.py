@@ -17,12 +17,15 @@ curve_analysis runs it once per curve, at infinity and at the factors of
 the discriminant of the polynomial minimal model; the bad places, the
 conductor and nprime_deg are read from that record, as are the bad Euler
 factors of the L-function and the places of the local heights.
+torsion_bound reads infinity from it too, and the good places after it
+from the Euler product's own count (lfunction._good_counts).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 from .algebra import (
@@ -35,7 +38,6 @@ from .algebra import (
     RatFunc,
     count_ws_points,
     factor_poly,
-    iter_monic_irreducibles,
     poly_roots,
 )
 from .weierstrass import Classification, Curve, Transform, classify
@@ -540,27 +542,22 @@ def fiber_counts(kt: KodairaType, split, qv: int, m: int) -> int:
 
 def torsion_bound(E: Curve) -> int:
     """A multiple of the order of the prime-to-p torsion subgroup: the
-    p-free part of gcd(#E(kappa_v)) over the first two good places."""
-    M = curve_analysis(E).cls.model
+    p-free part of gcd(#E(kappa_v)) over the first two good places, taking
+    infinity first and then the good Frobenius orbits of each degree in the
+    order the Euler product counts them (lfunction._good_counts)."""
+    from .lfunction import _good_counts   # lfunction imports this module
+
+    A = curve_analysis(E)
     F = E.field
-    p = F.p
-    orders = []
-
-    def place_stream():
-        yield Place.infinite(F)
-        d = 1
-        while F.q ** d <= PLACE_CAP:
-            for f in iter_monic_irreducibles(F, d):
-                yield Place(F, f, _checked=True)
-            d += 1
-
-    for v in place_stream():
-        ld = tate_type(M, v)
-        if ld.type.is_good and ld.a_v is not None:
-            orders.append(v.qv + 1 - ld.a_v)
-            if len(orders) == 2:
-                g = math.gcd(*orders)
-                while g % p == 0:
-                    g //= p
-                return g
-    raise CapError("fewer than two good places under the counting cap")
+    inf = A.local[0]
+    orders = [inf.place.qv + 1 - inf.a_v] if inf.type.is_good else []
+    d = 1
+    while len(orders) < 2 and F.q ** d <= PLACE_CAP:
+        orders += itertools.islice(_good_counts(A.cls.model, d), 2 - len(orders))
+        d += 1
+    if len(orders) < 2:
+        raise CapError("fewer than two good places under the counting cap")
+    g = math.gcd(*orders)
+    while g % F.p == 0:
+        g //= F.p
+    return g

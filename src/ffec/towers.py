@@ -1,13 +1,15 @@
-"""Towers F_q(t^{1/d}) and F_q(mu_d)(t^{1/d}): orbit bookkeeping, the
-block-cyclic linear-algebra lemma behind rank growth, and L-functions up
-the tower.
+"""Towers F_q(t^{1/d}) and F_q(mu_d)(t^{1/d}): the block-cyclic
+linear-algebra lemma behind rank growth, and L-functions up the tower.
 
 The tower machinery has two independent halves.  tower_l and
-rank_growth_scan push a curve through t = u^d (optionally extending the
-constant field to contain the d-th roots of unity) and read analytic ranks
-off the resulting L-polynomials.  The BlockSystem half checks, in exact
-rational arithmetic, the lemma that makes the rank lower bound tick: a
-pairing-preserving map cyclically permuting an even number of blocks of
+rank_growth_scan push a curve through t = u^d and read analytic ranks off
+the resulting L-polynomials.  Each Euler product runs over F_q(u); the
+field F_q(mu_d)(u) is the constant extension of degree m = mult_order(q, d),
+so its L has the m-th powers of the same inverse roots (Ulmer's PCMI
+lectures 1 and 4), and the orbits of j -> qj on Z/d that the scan reports
+come from algebra.orbit_decomposition.  The BlockSystem half checks, in
+exact rational arithmetic, the lemma that makes the rank lower bound tick:
+a pairing-preserving map cyclically permuting an even number of blocks of
 odd dimension has 1 - T^a dividing det(1 - phi T).
 """
 
@@ -17,43 +19,10 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .algebra import CapError, FFECError, PLACE_CAP, mult_order
-from .weierstrass import Curve, base_change_pow, extend_constants
+from .algebra import FFECError, mult_order, orbit_decomposition
+from .weierstrass import Curve, base_change_pow
 from .local import nprime_deg
 from .lfunction import LPoly, _extend_inverse_roots, analytic_rank, l_polynomial
-
-
-# ---------------------------------------------------------------------------
-# orbits of multiplication by q on Z/d
-
-@dataclasses.dataclass(frozen=True)
-class OrbitDecomposition:
-    d: int
-    q: int
-    orbits: tuple
-
-    @property
-    def sizes(self) -> tuple:
-        return tuple(len(o) for o in self.orbits)
-
-
-def orbit_decomposition(d: int, q: int) -> OrbitDecomposition:
-    """Partition Z/dZ into orbits of j -> qj mod d, listed by least element."""
-    if math.gcd(d, q) != 1:
-        raise ValueError(f"gcd(d, q) = {math.gcd(d, q)} must be 1")
-    seen = set()
-    orbits = []
-    for j in range(d):
-        if j in seen:
-            continue
-        orb = []
-        k = j
-        while k not in seen:
-            seen.add(k)
-            orb.append(k)
-            k = (k * q) % d
-        orbits.append(tuple(sorted(orb)))
-    return OrbitDecomposition(d, q, tuple(orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +252,19 @@ def random_block_system(a: int, w: int, rng) -> BlockSystem:
 # L-functions up the tower
 
 def tower_l(E: Curve, d: int, use_mu_d: bool = False) -> LPoly:
-    """L of E pulled back along t = u^d, over F_q(u) or F_q(mu_d)(u)."""
+    """L of E pulled back along t = u^d, over F_q(u) or F_q(mu_d)(u).
+
+    F_q(mu_d)(u) is the constant extension of degree mult_order(q, d), so
+    its L comes from the one over F_q(u) by raising the inverse roots to
+    that power; no curve over the larger field is built."""
     if d < 1:
         raise ValueError("d must be positive")
     if math.gcd(d, E.field.p) != 1:
         raise ValueError(f"d = {d} is divisible by the characteristic")
-    E2 = E
+    L = l_polynomial(base_change_pow(E, d) if d > 1 else E)
     if use_mu_d:
-        m = mult_order(E.field.q, d)
-        if E.field.q ** m > PLACE_CAP:
-            raise CapError(f"mu_{d} needs constants of size {E.field.q ** m}")
-        E2 = extend_constants(E2, m)
-    if d > 1:
-        E2 = base_change_pow(E2, d)
-    return l_polynomial(E2)
+        L = _extend_inverse_roots(L, mult_order(E.field.q, d))
+    return L
 
 
 def factor_degrees(L: LPoly):

@@ -140,6 +140,14 @@ def test_sqrt():
             assert n_sq == 1 + (F.q - 1) // 2
 
 
+def test_sqrt_above_the_cap():
+    # odd p reads roots off the field's table, which F_{3^11} may not build
+    F3 = field_create(3)
+    K = Place(F3, next(iter_monic_irreducibles(F3, 11)), _checked=True).residue_field()
+    with pytest.raises(CapError):
+        K.sqrt(K.gen)
+
+
 def test_canonical_generator():
     F9 = field_create(3, 2)
     g = F9.canonical_generator()

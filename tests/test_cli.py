@@ -1,6 +1,9 @@
+import argparse
 import collections
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -325,3 +328,17 @@ def test_reports_deterministic(e7_file, capsys):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert _strip_seconds(first) == _strip_seconds(second)
+
+
+def test_readme_synopsis_matches_parser():
+    # the README's synopsis block names every flag of every subcommand
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(ffec analyze .*?)```", readme, re.S).group(1)
+    documented = {line.split()[1]: set(re.findall(r"--[a-z][\w-]*", line))
+                  for line in block.splitlines()}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actual = {name: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"}
+              for name, p in subparsers.choices.items()}
+    assert documented == actual

@@ -103,8 +103,6 @@ def test_constant_trace_matches_weil_recurrence():
 def test_constant_l_guards():
     with pytest.raises(ValueError):
         constant_l(6, 5)
-    with pytest.raises(ValueError):
-        constant_l(0, 5, g_C=1)
 
 
 def test_l_polynomial_rejects_constant():
@@ -382,3 +380,21 @@ def test_place_cap_before_counting(monkeypatch):
     monkeypatch.setattr(lfunction, "count_ws_points", fail)
     with pytest.raises(CapError, match="degree 2: q_v = 25"):
         l_polynomial(crit2_curve())
+
+
+@pytest.mark.parametrize("F", [F2, F3, field_create(2, 2), F5], ids=repr)
+def test_good_counts_match_places(F, rng):
+    # the orbit counts of each degree against the good places of
+    # places_up_to, each reduced into its own residue field
+    curves = [fam(F) for fam in (catalog.e7, catalog.e8, catalog.e9,
+                                 catalog.first_example)]
+    curves += [_draw_curve(F, 4, rng) for _ in range(2)]
+    places = places_up_to(F, 3)[1:]
+    for E in curves:
+        M, _ = minimal_polynomial_model(E)
+        delta = M.invariants().delta.num
+        for d in range(1, 4):
+            want = sorted(
+                count_ws_points(v.residue_field(), *(reduce_at(r, v) for r in M.coeffs))
+                for v in places if v.degree == d and not (delta % v.poly).is_zero())
+            assert sorted(lfunction._good_counts(M, d)) == want, (E, d)

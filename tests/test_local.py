@@ -1,5 +1,6 @@
 """Reduction types, conductors, fiber counts, torsion bounds."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ffec.algebra import (
     factor_poly,
     field_create,
     format_place,
+    places_up_to,
 )
 from ffec.local import (
     Conductor,
@@ -30,6 +32,7 @@ from ffec.local import (
     torsion_bound,
 )
 from ffec.weierstrass import Curve, NotEllipticError, Transform, extend_constants
+from test_lfunction import _draw_curve
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -374,6 +377,27 @@ def test_torsion_bound():
     assert torsion_bound(E0) % 6 == 0  # constant curve with 6 rational points
     with pytest.raises(ValueError):
         fiber_counts(KodairaType.I(1), True, 5, 0)
+
+
+def test_torsion_bound_divides_place_counts(rng):
+    # every good place bounds the prime-to-p torsion, so when two good
+    # places of degree <= 2 exist the bound is read from two of them, and
+    # the p-free gcd of all their counts, by Tate's algorithm place by
+    # place, divides it
+    for F in (F2, F3, field_create(2, 2), F5):
+        curves = [fam(F) for fam in (catalog.e7, catalog.e8, catalog.e9,
+                                     catalog.first_example)]
+        curves += [_draw_curve(F, 4, rng) for _ in range(2)]
+        for E in curves:
+            M = curve_analysis(E).cls.model
+            orders = [v.qv + 1 - ld.a_v for v in places_up_to(F, 2)
+                      if (ld := tate_type(M, v)).type.is_good]
+            if len(orders) < 2:
+                continue
+            g = math.gcd(*orders)
+            while g % F.p == 0:
+                g //= F.p
+            assert torsion_bound(E) % g == 0, E
 
 
 def test_conductor_entries_sorted():

@@ -115,6 +115,20 @@ def test_tower_e7_fixtures():
     assert analytic_rank(L5K) == 4
 
 
+@pytest.mark.parametrize("fam, p, d", [
+    (catalog.e7, 2, 3), (catalog.e7, 2, 5), (catalog.e9, 2, 3), (catalog.e9, 2, 5),
+    (catalog.first_example, 2, 3), (catalog.first_example, 2, 5), (catalog.e7, 3, 4),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_mu_layer_matches_extended_curve(fam, p, d):
+    # tower_l raises the inverse roots over F_q(u) to the power
+    # m = mult_order(q, d); expand the Euler product over F_{q^m}(u) instead
+    E = fam(field_create(p))
+    m = mult_order(p, d)
+    direct = l_polynomial(base_change_pow(extend_constants(E, m), d), descend=False)
+    assert direct.q == p ** m
+    assert tower_l(E, d, use_mu_d=True) == direct
+
+
 def test_factor_degrees():
     E = catalog.e7(F2)
     L5F = tower_l(E, 5)
