@@ -97,10 +97,12 @@ class FqElem:
     """An element of a finite field.  Instances are interned per field, so
     equal elements of the same field are the same object.
 
-    Once the field has its table (Fq.zech), `log` is the element's discrete
-    logarithm to the table's generator (None for 0) and every operation is
-    a table lookup; before that, and in fields above PLACE_CAP, operations
-    work on `val`, the coefficient tuple."""
+    `val` is the element's code sum_i c_i p^i, c_0 .. c_(e-1) its
+    coordinates over F_p (Fq._flatten), in every field; codes in increasing
+    order are the canonical order of the elements.  Once the field has its
+    table (Fq.zech), `log` is the element's discrete logarithm to the
+    table's generator (None for 0) and every operation is a table lookup;
+    before that, and in fields above PLACE_CAP, operations work on codes."""
 
     __slots__ = ("field", "val", "_hash", "log")
 
@@ -295,9 +297,6 @@ class Fq:
             self.e = 1
             self.q = p
             self.modulus = None
-            self.zero = self._make(0)
-            self.one = self._make(1)
-            self.gen = None
         else:
             # modulus: tuple of base elements, low degree first, monic
             if modulus is None or len(modulus) < 2 or modulus[-1] is not base.one:
@@ -308,27 +307,14 @@ class Fq:
             self.deg = len(modulus) - 1
             self.e = base.e * self.deg
             self.q = base.q ** self.deg
-            d = self.deg
-            # rows for t^k mod modulus, k = d .. 2d-2
-            row = tuple(-c for c in modulus[:-1])
-            rows = [row]
-            for _ in range(d - 2):
-                shifted = (base.zero,) + rows[-1][:-1]
-                top = rows[-1][-1]
-                if top:
-                    shifted = tuple(s + top * r for s, r in zip(shifted, row))
-                rows.append(shifted)
-            self._red = rows
-            self.zero = self._make((base.zero,) * d)
-            one = (base.one,) + (base.zero,) * (d - 1)
-            self.one = self._make(one)
-            if d >= 2:
-                g = (base.zero, base.one) + (base.zero,) * (d - 2)
-                self.gen = self._make(g)
-            else:
-                self.gen = self._make((base.one,))
-        # operations left on the tuple path before the field builds its
-        # table; -1 once it has one, or where it cannot (above the cap)
+            # t^deg = -sum_i m_i t^i: the pairs (i, code of -m_i), m_i != 0
+            self._red = [(i, (-c).val) for i, c in enumerate(modulus[:-1]) if c]
+        self.zero = self._make(0)
+        self.one = self._make(1)
+        # the class of t (1 for a modulus of degree 1)
+        self.gen = None if base is None else self._make(base.q if self.deg > 1 else 1)
+        # operations left on codes before the field builds its table; -1
+        # once it has one, or where it cannot (above the cap)
         self._ops_left = self.q if self.q <= PLACE_CAP else -1
 
     def __repr__(self):
@@ -340,133 +326,137 @@ class Fq:
     def __eq__(self, other):
         return self is other
 
-    def _make(self, val) -> FqElem:
+    def _make(self, val: int) -> FqElem:
         el = self._intern.get(val)
         if el is None:
             el = FqElem(self, val, hash((self._id, val)))
             self._intern[val] = el
         return el
 
-    # value-level arithmetic
+    # arithmetic on codes: + and - digit by digit over F_p, x in base[t]
 
-    def _vadd(self, a, b):
-        if self.base is None:
-            return (a + b) % self.p
-        return tuple(x + y for x, y in zip(a, b))
+    def _vadd(self, a: int, b: int) -> int:
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.e == 1:
+            return (a + b) % p
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * w
+            w *= p
+        return out
 
-    def _vneg(self, a):
-        if self.base is None:
-            return -a % self.p
-        return tuple(-x for x in a)
+    def _vneg(self, a: int) -> int:
+        p = self.p
+        if p == 2:
+            return a
+        if self.e == 1:
+            return -a % p
+        out, w = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * w
+            w *= p
+        return out
 
-    def _vmul(self, a, b):
-        if self.base is None:
+    def _digits(self, code: int) -> list:
+        """The base codes of the coefficients of an element's code, low
+        degree first."""
+        bq, out = self.base.q, []
+        for _ in range(self.deg):
+            code, c = divmod(code, bq)
+            out.append(c)
+        return out
+
+    def _vmul(self, a: int, b: int) -> int:
+        B = self.base
+        if B is None:
             return a * b % self.p
         d = self.deg
-        if d == 1:
-            # modulus t + m0: t = -m0, but elements are constants anyway
-            return (a[0] * b[0],)
-        z = self.base.zero
-        conv = [z] * (2 * d - 1)
-        for i, x in enumerate(a):
+        add, mul = B._vadd, B._vmul
+        ys = [(j, y) for j, y in enumerate(self._digits(b)) if y]
+        conv = [0] * (2 * d - 1)
+        for i, x in enumerate(self._digits(a)):
             if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] = conv[i + j] + x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
+                for j, y in ys:
+                    conv[i + j] = add(conv[i + j], mul(x, y))
+        for k in range(2 * d - 2, d - 1, -1):
             c = conv[k]
             if c:
-                row = self._red[k - d]
-                out = [o + c * r for o, r in zip(out, row)]
-        return tuple(out)
+                for i, r in self._red:
+                    conv[k - d + i] = add(conv[k - d + i], mul(c, r))
+        out, bq = 0, B.q
+        for c in reversed(conv[:d]):
+            out = out * bq + c
+        return out
 
     # constructors
 
     def scalar(self, n: int) -> FqElem:
         """The image of the integer n under Z -> F_q."""
-        if self.base is None:
-            return self._make(n % self.p)
-        c = self.base.scalar(n)
-        return self._make((c,) + (self.base.zero,) * (self.deg - 1))
+        return self._make(n % self.p)
 
     def element(self, coeffs) -> FqElem:
         """Build an element from base-field coefficients, low degree first."""
         if self.base is None:
             raise ValueError("prime field has no coefficient structure")
-        cs = []
+        vals = []
         for c in coeffs:
             if isinstance(c, int):
                 c = self.base.scalar(c)
             elif not (isinstance(c, FqElem) and c.field is self.base):
                 raise ValueError("coefficients must lie in the base field")
-            cs.append(c)
-        if len(cs) > self.deg:
+            vals.append(c.val)
+        if len(vals) > self.deg:
             raise ValueError("too many coefficients")
-        cs += [self.base.zero] * (self.deg - len(cs))
-        return self._make(tuple(cs))
+        code = 0
+        for v in reversed(vals):
+            code = code * self.base.q + v
+        return self._make(code)
 
-    # enumeration and ordering
-
-    def element_key(self, x: FqElem):
-        """Total-order key: coefficients flattened high degree first."""
-        if self.base is None:
-            return (x.val,)
-        out = []
-        for c in reversed(x.val):
-            out.extend(self.base.element_key(c))
-        return tuple(out)
+    # enumeration and coordinates: all read the codes
 
     def elements(self):
         """All field elements in canonical order.  Capped."""
         if self.q > PLACE_CAP:
             raise CapError(f"cannot enumerate F_{self.q}: above cap {PLACE_CAP}")
-        if self.base is None:
-            for v in range(self.p):
-                yield self._make(v)
-        else:
-            base_elems = list(self.base.elements())
-            for combo in itertools.product(base_elems, repeat=self.deg):
-                yield self._make(tuple(reversed(combo)))
+        for v in range(self.q):
+            yield self._make(v)
 
     def _flatten(self, x: FqElem):
-        """Coefficients over F_p, low degree first, as ints of length e."""
-        if self.base is None:
-            return (x.val,)
-        out = []
-        for c in x.val:
-            out.extend(self.base._flatten(c))
+        """Coordinates over F_p, low degree first, as ints of length e: the
+        base-p digits of the code."""
+        v, p, out = x.val, self.p, []
+        for _ in range(self.e):
+            v, c = divmod(v, p)
+            out.append(c)
         return tuple(out)
+
+    def _weights(self) -> np.ndarray:
+        """p^0 .. p^(e-1), in int64 while codes fit in it and as Python ints
+        in an object array above that."""
+        return np.array([self.p ** i for i in range(self.e)],
+                        dtype=np.int64 if self.q < 1 << 62 else object)
 
     def _coords(self, xs) -> np.ndarray:
         """The coordinates (_flatten) of the elements xs as the rows of an
         (len(xs), e) int64 array."""
-        if self.base is None:
-            return np.array([x.val for x in xs], dtype=np.int64).reshape(-1, 1)
-        return np.hstack([self.base._coords([x.val[i] for x in xs]) for i in range(self.deg)])
+        w = self._weights()
+        codes = np.array([x.val for x in xs], dtype=w.dtype)
+        return (codes[:, None] // w % self.p).astype(np.int64)
 
     def _from_coords(self, rows: np.ndarray) -> list:
         """The elements with the given rows of coordinates in [0, p): the
         inverse of _coords."""
-        mk = self._make
-        if self.base is None:
-            return [mk(v) for v in rows[:, 0].tolist()]
-        be = self.base.e
-        parts = [self.base._from_coords(rows[:, i * be:(i + 1) * be]) for i in range(self.deg)]
-        return [mk(v) for v in zip(*parts)]
+        w = self._weights()
+        return [self._make(v) for v in (rows.astype(w.dtype) @ w).tolist()]
 
     def _basis(self):
         """Elements whose flattened coordinates are the unit vectors."""
-        if self.base is None:
-            return [self.one]
-        out = []
-        sub = self.base._basis()
-        z = self.base.zero
-        for i in range(self.deg):
-            for b in sub:
-                val = tuple(b if j == i else z for j in range(self.deg))
-                out.append(self._make(val))
-        return out
+        return [self._make(self.p ** i) for i in range(self.e)]
 
     def _mul_tensor(self) -> np.ndarray:
         """The (e, e, e) array T with T[i, j] the coordinates of b_i b_j, for
@@ -494,10 +484,9 @@ class Fq:
         return sum(c * tr for c, tr in zip(flat, self._basis_tr)) % self.p
 
     def _prime_int(self, x: FqElem) -> int:
-        flat = self._flatten(x)
-        if any(flat[1:]):
+        if x.val >= self.p:
             raise ValueError("element not in the prime subfield")
-        return flat[0]
+        return x.val
 
     # special maps
 
@@ -557,7 +546,7 @@ class Fq:
         return self._table
 
     def _count_op(self):
-        """Count one operation on the tuple path.  After q of them the field
+        """Count one operation on codes.  After q of them the field
         builds its table, so a field used less than that never pays for
         one, and one used more spends at most about twice the least."""
         self._ops_left -= 1
@@ -584,13 +573,7 @@ def _field_create(p: int, e: int) -> Fq:
     if e == 1:
         return Fq(p)
     base = _field_create(p, 1)
-    for combo in itertools.product(range(p), repeat=e):
-        # combo holds the coefficients of t^{e-1} .. t^0
-        coeffs = [base.scalar(c) for c in reversed(combo)] + [base.one]
-        f = Poly(base, coeffs)
-        if is_irreducible(f):
-            return Fq(base=base, modulus=tuple(coeffs))
-    raise FFECError("unreachable: no irreducible modulus found")
+    return Fq(base=base, modulus=next(iter_monic_irreducibles(base, e)).coeffs)
 
 
 class ZechTable:
@@ -607,10 +590,10 @@ class ZechTable:
 
     FqElem arithmetic and the point counts (count_ws_points) read these
     lists.  The powers of g are found in integer coordinates: an element is
-    the vector of its F_p-coordinates (Fq._flatten), multiplication by g is
+    the vector of its F_p-coordinates (Fq._coords), multiplication by g is
     an e x e matrix over F_p, and g^0 .. g^(M-1) come from about 2 sqrt(M)
     matrix products in numpy, so the build does no field arithmetic beyond
-    finding g and the matrix."""
+    finding g and the matrix; their codes are the vals of exp."""
 
     def __init__(self, field: Fq):
         if field.q > PLACE_CAP:
@@ -618,12 +601,9 @@ class ZechTable:
         self.field = field
         p, e, M = field.p, field.e, field.q - 1
         self.order = M
-        # canonical order is the order of the codes sum_i c_i p^i of the
-        # coordinates c_0 .. c_(e-1)
-        by_code = list(field.elements())
         g = field.canonical_generator()
         self.g = g
-        mul_g = np.array([field._flatten(g * b) for b in field._basis()], dtype=np.int64).T
+        mul_g = field._coords([g * b for b in field._basis()]).T
         # the coordinates of g^k, k < B, are the first columns of the
         # matrices of g^k; then g^(jB + k) = g^(jB) g^k is one matrix
         # product per block of B powers
@@ -634,14 +614,14 @@ class ZechTable:
             first.append(mat[:, 0])
             mat = mul_g @ mat % p
         block = np.stack(first, axis=1)
-        weights = p ** np.arange(e, dtype=np.int64)
+        weights = field._weights()
         step, parts = mat, []
         mat = np.eye(e, dtype=np.int64)
         for _ in range(-(-M // B)):
             parts.append(weights @ (mat @ block % p))
             mat = mat @ step % p
         codes = np.concatenate(parts)[:M]
-        exp = [by_code[c] for c in codes.tolist()]
+        exp = [field._make(c) for c in codes.tolist()]
         for k, x in enumerate(exp):
             x.log = k
         self.exp = exp + exp
@@ -981,12 +961,9 @@ class Poly:
         return Poly(field or self.field, tuple(fn(c) for c in self.coeffs))
 
     def key(self):
-        """Canonical ordering key: degree, then coefficients high first."""
-        f = self.field
-        flat = []
-        for c in reversed(self.coeffs):
-            flat.extend(f.element_key(c))
-        return (len(self.coeffs), tuple(flat))
+        """Canonical ordering key: degree, then the codes of the
+        coefficients high degree first."""
+        return (len(self.coeffs), tuple(c.val for c in reversed(self.coeffs)))
 
     def __repr__(self):
         return format_poly(self, "t")
@@ -1116,19 +1093,8 @@ _cz_rng = random.Random(0xFFEC)
 
 
 def _random_poly(field: Fq, deg: int, rng) -> Poly:
-    # random polynomial of degree < deg + 1 over a possibly-large field,
-    # built from random prime coefficients on the absolute basis
-    basis = field._basis() if field.base is not None else None
-    cs = []
-    for _ in range(deg + 1):
-        if basis is None:
-            cs.append(field.scalar(rng.randrange(field.p)))
-        else:
-            acc = field.zero
-            for b in basis:
-                acc = acc + field.scalar(rng.randrange(field.p)) * b
-            cs.append(acc)
-    return Poly(field, cs)
+    # random polynomial of degree < deg + 1: a random code per coefficient
+    return Poly(field, [field._make(rng.randrange(field.q)) for _ in range(deg + 1)])
 
 
 def _equal_degree_split(f: Poly, d: int, rng) -> list[Poly]:
@@ -1590,7 +1556,7 @@ class Place:
             return Poly.const(x)
         if x.field is not self.residue_field():
             raise ValueError("element of the wrong residue field")
-        return Poly(self.field, list(x.val))
+        return Poly(self.field, [self.field._make(c) for c in x.field._digits(x.val)])
 
     def reduce(self, r: RatFunc) -> FqElem:
         """The image of a rational function with non-negative valuation."""
@@ -1895,12 +1861,9 @@ def parse_element(s: str, field: Fq) -> FqElem:
 
 def format_element(x: FqElem) -> str:
     f = x.field
-    if f.base is None:
+    if x.val < f.p:
         return str(x.val)
-    flat = f._flatten(x)
-    if not any(flat[1:]):
-        return str(flat[0])
-    return "[" + ",".join(format_element(c) for c in x.val) + "]"
+    return "[" + ",".join(format_element(f.base._make(c)) for c in f._digits(x.val)) + "]"
 
 
 def _format_term(c: FqElem, k: int, var: str) -> str:

@@ -363,14 +363,6 @@ class ConstantL:
                 out[i] = s
         return out
 
-    def den(self):
-        a, b = self.den_factors
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return tuple(out)
-
 
 def constant_l(a: int, q: int) -> ConstantL:
     """Closed-form L-function of the constant curve with trace a over F_q,
@@ -501,27 +493,26 @@ def check_rh(L: LPoly) -> bool:
     return bool(max(abs(abs(1.0 / r) - L.q) for r in roots) <= RH_TOL * L.q)
 
 
-def _divide_once(coeffs, q: int):
-    """Exact division by (1 - qT); returns the quotient or None."""
-    b = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        b.append(c + q * b[-1])
-    if coeffs[-1] + q * b[-1] != 0:
-        return None
-    return b
+def _root_order(coeffs, q: int) -> int:
+    """Multiplicity of 1/q as a root of the integer polynomial with the
+    given coefficients, low degree first, by repeated exact division by
+    (1 - qT)."""
+    cur = list(coeffs)
+    m = 0
+    while len(cur) > 1:
+        b = [cur[0]]
+        for c in cur[1:-1]:
+            b.append(c + q * b[-1])
+        if cur[-1] + q * b[-1] != 0:
+            break
+        cur = b
+        m += 1
+    return m
 
 
 def analytic_rank(L: LPoly) -> int:
-    """Multiplicity of 1/q as a root of L, by repeated exact division."""
-    cur = list(L.coeffs)
-    r = 0
-    while len(cur) > 1:
-        nxt = _divide_once(cur, L.q)
-        if nxt is None:
-            break
-        cur = nxt
-        r += 1
-    return r
+    """Multiplicity of 1/q as a root of L."""
+    return _root_order(L.coeffs, L.q)
 
 
 # ---------------------------------------------------------------------------
@@ -538,19 +529,9 @@ class SurfaceZeta:
 
     def pole_order(self) -> int:
         """Order of the pole at T = 1/q."""
-        total = 0
-        for side, fs in ((1, self.den_factors), (-1, self.num_factors)):
-            for coeffs, e in fs:
-                m = 0
-                cur = list(coeffs)
-                while len(cur) > 1:
-                    nxt = _divide_once(cur, self.q)
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    m += 1
-                total += side * m * e
-        return total
+        return sum(side * _root_order(coeffs, self.q) * e
+                   for side, fs in ((1, self.den_factors), (-1, self.num_factors))
+                   for coeffs, e in fs)
 
 
 def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:

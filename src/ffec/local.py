@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 
 from .algebra import (
@@ -542,9 +541,10 @@ def fiber_counts(kt: KodairaType, split, qv: int, m: int) -> int:
 
 def torsion_bound(E: Curve) -> int:
     """A multiple of the order of the prime-to-p torsion subgroup: the
-    p-free part of gcd(#E(kappa_v)) over the first two good places, taking
-    infinity first and then the good Frobenius orbits of each degree in the
-    order the Euler product counts them (lfunction._good_counts)."""
+    p-free part of gcd(#E(kappa_v)) over the good places of degree <= d,
+    infinity included when it is good, for the least d that gives two of
+    them.  Each degree is read whole from the Euler product's count of its
+    good Frobenius orbits (lfunction._good_counts)."""
     from .lfunction import _good_counts   # lfunction imports this module
 
     A = curve_analysis(E)
@@ -553,7 +553,7 @@ def torsion_bound(E: Curve) -> int:
     orders = [inf.place.qv + 1 - inf.a_v] if inf.type.is_good else []
     d = 1
     while len(orders) < 2 and F.q ** d <= PLACE_CAP:
-        orders += itertools.islice(_good_counts(A.cls.model, d), 2 - len(orders))
+        orders += _good_counts(A.cls.model, d)
         d += 1
     if len(orders) < 2:
         raise CapError("fewer than two good places under the counting cap")

@@ -389,8 +389,8 @@ def constant_embedding(field: Fq, ext: Fq):
 
     def embed(c: FqElem) -> FqElem:
         acc = ext.zero
-        for k in reversed(range(field.deg)):
-            acc = acc * rho + ext.scalar(c.val[k].val)
+        for k in reversed(field._digits(c.val)):
+            acc = acc * rho + ext.scalar(k)
         return acc
 
     return embed

@@ -3,8 +3,9 @@
 The reference below does integer polynomial arithmetic modulo each field's
 modulus: an element of F_p is an int in [0, p), an element of K[y]/(m) a
 tuple of deg(m) elements of K, low degree first.  It reads only the data of
-an Fq (p, base, modulus and each element's val); every result of Fq must be
-the interned element the reference names.
+an Fq (p, base, modulus and each element's val, whose integer digits in
+base #K are the codes of its coefficients); every result of Fq must be the
+interned element the reference names.
 """
 
 import random
@@ -37,9 +38,16 @@ class Ref:
             self.one = (b.one,) + (b.zero,) * (self.deg - 1)
 
     def of(self, x):
+        return self.decode(x.val)
+
+    def decode(self, code):
         if self.base is None:
-            return x.val
-        return tuple(self.base.of(c) for c in x.val)
+            return code
+        out = []
+        for _ in range(self.deg):
+            code, c = divmod(code, self.base.q)
+            out.append(self.base.decode(c))
+        return tuple(out)
 
     def elem(self, F, r):
         if self.base is None:

@@ -331,7 +331,10 @@ def test_degree_fields_shared(monkeypatch):
         built[field] += 1
         init(self, field)
 
+    # residue fields are shared across tests through both caches: start
+    # with none, so every field below is built, and counted, here
     _degree_field.cache_clear()
+    algebra._quotient_field.cache_clear()
     monkeypatch.setattr(algebra.ZechTable, "__init__", counting)
     E = crit2_curve()
     first = l_polynomial(E)

@@ -381,8 +381,8 @@ def test_torsion_bound():
 
 def test_torsion_bound_divides_place_counts(rng):
     # every good place bounds the prime-to-p torsion, so when two good
-    # places of degree <= 2 exist the bound is read from two of them, and
-    # the p-free gcd of all their counts, by Tate's algorithm place by
+    # places of degree <= 2 exist the bound is read from places among them,
+    # and the p-free gcd of all their counts, by Tate's algorithm place by
     # place, divides it
     for F in (F2, F3, field_create(2, 2), F5):
         curves = [fam(F) for fam in (catalog.e7, catalog.e8, catalog.e9,
@@ -398,6 +398,30 @@ def test_torsion_bound_divides_place_counts(rng):
             while g % F.p == 0:
                 g //= F.p
             assert torsion_bound(E) % g == 0, E
+
+
+def test_torsion_bound_reads_every_degree_one_place(rng):
+    # with two good places among infinity and the degree-1 places, the bound
+    # is the p-free gcd of the counts at every one of them, by Tate's
+    # algorithm place by place
+    checked = 0
+    for p, e in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)):
+        F = field_create(p, e)
+        curves = [fam(F) for fam in (catalog.e7, catalog.e8, catalog.e9,
+                                     catalog.first_example)]
+        curves += [_draw_curve(F, 4, rng) for _ in range(2)]
+        for E in curves:
+            M = curve_analysis(E).cls.model
+            orders = [v.qv + 1 - ld.a_v for v in places_up_to(F, 1)
+                      if (ld := tate_type(M, v)).type.is_good]
+            if len(orders) < 2:
+                continue
+            g = math.gcd(*orders)
+            while g % p == 0:
+                g //= p
+            assert torsion_bound(E) == g, E
+            checked += 1
+    assert checked >= 30
 
 
 def test_conductor_entries_sorted():

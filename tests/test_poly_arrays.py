@@ -77,6 +77,50 @@ def test_the_fields():
     assert (F.q, F.base.q, F.e) == (16, 4, 4)
 
 
+def test_codes_and_coordinates(field, rng):
+    # codes in increasing order are the canonical order, and _coords and
+    # _from_coords are inverse to each other
+    F, els = field
+    assert [x.val for x in F.elements()] == list(range(F.q))
+    xs = [rng.choice(els) for _ in range(50)] + els[:2]
+    rows = F._coords(xs)
+    assert rows.shape == (len(xs), F.e) and rows.min() >= 0 and rows.max() < F.p
+    assert F._from_coords(rows) == xs
+
+
+def _degree_70_field():
+    # t^70 + t^24 + t^2 + t + 1, irreducible over F_2 (Place.finite checks)
+    cs = [1 if k in (0, 1, 2, 24, 70) else 0 for k in range(71)]
+    return Place.finite(Poly(field_create(2), cs)).residue_field()
+
+
+def test_codes_above_int64(rng):
+    # q = 2^70: codes and coordinates go through object arrays.  Elements with
+    # few non-zero coordinates, some of them above 2^63, and monic divisors
+    # keep the schoolbook reference, which computes x^(q-2) per division,
+    # fast
+    F = _degree_70_field()
+    t = F.gen
+    els = [F.zero, F.one, t, t ** 63, t ** 64, t ** 69 + t ** 3 + 1, t ** 65 + t ** 40]
+    assert F.q == 1 << 70 and max(x.val for x in els) >= 1 << 63
+    assert F._from_coords(F._coords(els)) == els
+
+    def poly(n):
+        return Poly(F, [rng.choice(els) for _ in range(n - 1)] + [F.one])
+
+    a, b = poly(_BIG), poly(_BIG + 5)
+    assert a * b == Poly(F, ref_mul(a.coeffs, b.coeffs, F.zero))
+    for m in (_BIG // 4, _BIG // 2):
+        d = poly(m)
+        wq, wr = ref_divmod(a.coeffs, d.coeffs, F.zero)
+        assert divmod(a, d) == (Poly(F, wq), Poly(F, wr))
+    # gcd(g u, g (u + 1)) = g, in two Euclid steps by monic divisors
+    g, u = poly(_BIG // 2), poly(_BIG // 2 + 1)
+    x, y = g * u, g * (u + 1)
+    assert len(x.coeffs) >= _BIG
+    assert x.gcd(y) == Poly(F, ref_gcd(x.coeffs, y.coeffs, F.zero)) == g
+
+
 def test_mul_matches_schoolbook(field, rng):
     F, els = field
     for n in LENGTHS:
