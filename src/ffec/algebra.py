@@ -564,12 +564,16 @@ def field_create(p: int, e: int = 1) -> Fq:
 
 @functools.lru_cache(maxsize=None)
 def _field_create(p: int, e: int) -> Fq:
-    if not _is_prime_int(p):
+    if p < 2:
         raise ValueError(f"{p} is not prime")
     if e < 1:
         raise ValueError("extension degree must be >= 1")
-    if p ** e > PLACE_CAP:
+    # the cap comes before trial division up to sqrt(p), and p^e >= 2^e
+    # decides it for large e before p^e is formed
+    if e >= PLACE_CAP.bit_length() or p ** e > PLACE_CAP:
         raise CapError(f"q = {p}^{e} exceeds the cap {PLACE_CAP}")
+    if not _is_prime_int(p):
+        raise ValueError(f"{p} is not prime")
     if e == 1:
         return Fq(p)
     base = _field_create(p, 1)
@@ -1526,16 +1530,22 @@ class Place:
             return POS_INF
         if self.poly is None:
             return -int(f.degree)
+        # synthetic division by the monic g of degree d on the coefficient
+        # list: after a pass cs[:d] is the remainder and cs[d:] the quotient
+        d = len(self.poly.coeffs) - 1
+        g = [(j, -c) for j, c in enumerate(self.poly.coeffs[:d]) if c]
+        cs = list(f.coeffs)
         v = 0
-        while True:
-            q, r = divmod(f, self.poly)
-            if r.is_zero():
-                v += 1
-                f = q
-                if f.is_zero():
-                    break
-            else:
+        while len(cs) > d:
+            for k in range(len(cs) - d - 1, -1, -1):
+                c = cs[k + d]
+                if c:
+                    for j, nc in g:
+                        cs[k + j] = cs[k + j] + c * nc
+            if any(cs[:d]):
                 break
+            del cs[:d]
+            v += 1
         return v
 
     def valuation(self, r: RatFunc):
@@ -1726,10 +1736,16 @@ def _tokenize(s: str):
     return out
 
 
+# deeper nesting of parentheses and signs is a ParseError, well before
+# the parser's recursion (four frames a level) meets Python's limit
+_MAX_NESTING = 100
+
+
 class _Parser:
-    def __init__(self, tokens, field: Fq, allow_var: bool):
+    def __init__(self, tokens, field: Fq, allow_var: bool, depth: int = 0):
         self.toks = tokens
         self.pos = 0
+        self.depth = depth
         self.field = field
         self.allow_var = allow_var
         self.seen_vars: set[str] = set()
@@ -1766,14 +1782,20 @@ class _Parser:
         return v
 
     def parse_factor(self) -> RatFunc:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(
+                f"nested deeper than {_MAX_NESTING} at position {self.peek()[2]}")
         if self.peek()[0] == "-":
             self.take()
-            return -self.parse_factor()
-        v = self.parse_atom()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take("int")
-            v = v ** tok[1]
+            v = -self.parse_factor()
+        else:
+            v = self.parse_atom()
+            if self.peek()[0] == "^":
+                self.take()
+                tok = self.take("int")
+                v = v ** tok[1]
+        self.depth -= 1
         return v
 
     def parse_atom(self) -> RatFunc:
@@ -1791,7 +1813,7 @@ class _Parser:
             if self.field.base is None:
                 raise ParseError(f"bracket element over a prime field at position {pos}")
             comps = []
-            sub = _Parser(self.toks, self.field.base, False)
+            sub = _Parser(self.toks, self.field.base, False, self.depth)
             sub.pos = self.pos
             while True:
                 comps.append(_as_element(sub.parse_expr(), pos))

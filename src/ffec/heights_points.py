@@ -17,8 +17,9 @@ on the model minimal at v from Tate's algorithm and needs only valuations:
 P reduces to a nonsingular point; or the fiber is multiplicative; or it is
 additive and v(psi3) >= 3 v(psi2); or none of these.  Summed, this is
 Shioda's formula <P,P> = 2 chi + 2 (P.O) - sum_v contr_v(P) (Comment. Math.
-Univ. St. Pauli 39, 1990).  The valuations are read off power series in a
-local parameter, truncated at the precision the case needs.
+Univ. St. Pauli 39, 1990).  The valuations are exact: each is taken on M,
+of a polynomial numerator, and moved to the model minimal at v by the
+transformation law, with no series, no precision and no second model.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
-    PLACE_CAP,
+    POS_INF,
     FFECError,
     FqElem,
     Poly,
@@ -74,216 +75,115 @@ def naive_height(P: CurvePoint) -> int:
     return max(_deg(P.x.num), _deg(P.x.den))
 
 
-# power series c[0] + c[1] e + ... truncated to their length ---------------
+class _OnM:
+    """P = (X/Z, Y/W) on M and the numerators, formed on first use with
+    Poly products only, of psi2 = 2y + a1 x + a3 over Z W, of
+    fx = 3x^2 + 2 a2 x + a4 - a1 y over Z^2 W and of psi3 over Z^4."""
 
+    def __init__(self, coeffs, P: CurvePoint):
+        self.coeffs = coeffs
+        self.X, self.Z = P.x.num, P.x.den
+        self.Y, self.W = P.y.num, P.y.den
 
-def _sval(a) -> int:
-    """Index of the first nonzero coefficient; len(a) if none is known."""
-    return next((i for i, c in enumerate(a) if c), len(a))
+    @functools.cached_property
+    def psi2(self) -> Poly:
+        a1, _, a3 = self.coeffs[:3]
+        X, Y, Z, W = self.X, self.Y, self.Z, self.W
+        return 2 * Y * Z + (a1 * X + a3 * Z) * W
 
+    @functools.cached_property
+    def fx(self) -> Poly:
+        a1, a2, _, a4 = self.coeffs[:4]
+        X, Y, Z, W = self.X, self.Y, self.Z, self.W
+        return (3 * X * X + 2 * a2 * X * Z + a4 * Z * Z) * W - a1 * Y * Z * Z
 
-def _sadd(*terms):
-    return [sum(cs[1:], cs[0]) for cs in zip(*terms)]
-
-
-def _smul(a, b):
-    n = min(len(a), len(b))
-    if not n:
-        return []
-    out = [a[0].field.zero] * n
-    for i in range(n):
-        x = a[i]
-        if x:
-            for j in range(n - i):
-                if b[j]:
-                    out[i + j] = out[i + j] + x * b[j]
-    return out
-
-
-def _sinv(a):
-    """Inverse of a series with a unit constant term."""
-    c = a[0].inverse()
-    out = [c]
-    for k in range(1, len(a)):
-        acc = a[k] * out[0]
-        for j in range(1, k):
-            acc = acc + a[k - j] * out[j]
-        out.append(-(acc * c))
-    return out
-
-
-def _sscale(k: int, a):
-    return [c * k for c in a]
+    @functools.cached_property
+    def psi3(self) -> Poly:
+        b2, b4, b6, b8 = self.coeffs[4:]
+        X, Z = self.X, self.Z
+        Z2 = Z * Z
+        return ((((3 * X + b2 * Z) * X + 3 * b4 * Z2) * X + 3 * b6 * Z2 * Z) * X
+                + b8 * Z2 * Z2)
 
 
 class _Local:
-    """A place v of S and the model E_v minimal there, read as power series
-    in a local parameter e: e = t - alpha over the residue field at a finite
-    place (alpha the class of t), e = 1/t at infinity.  Points are expanded
-    on the model M at finite places and on M scaled by u = t^h at infinity,
-    both integral at v; the transform from there to E_v has u = e^m * unit.
+    """A place v of S and the transform from M to the model E_v minimal
+    there, which Tate's algorithm left in its LocalData.  Every valuation
+    the case split reads is taken on M and moved to E_v by the
+    transformation law: with x = u^2 x_v + r and y = u^3 y_v + s u^2 x_v + w,
+
+        psi2_v = psi2 / u^3,  fx_v = (fx - s psi2) / u^4,
+        psi3_v = psi3 / u^8,  x_v = (x - r) / u^2.
+
+    At infinity the integral model is M scaled by t^h, so a quantity of
+    weight k gains k h there.  m = v(u) plus that h is 0 unless M (so
+    scaled) is not minimal at v; then r and s are kept, and otherwise they
+    are integral and the reduction test on M is the one on E_v.
     """
 
-    def __init__(self, M: Curve, ld: LocalData, h: int):
+    def __init__(self, ld: LocalData, h: int):
         v = ld.place
         tau = ld.transform_used
-        self.model = model = tau.apply(M)
         self.place = v
-        self.deg = v.degree
         self.infinite = v.is_infinite
         self.N = ld.vdelta_min
         self.multiplicative = ld.type.is_multiplicative
         self.h = h if self.infinite else 0
         self.m = v.valuation(tau.u) + self.h
-        if self.infinite:
-            self.kappa, self.alpha = M.field, None
-        elif v.degree == 1:
-            self.kappa, self.alpha = M.field, -v.poly.coeffs[0]
-        else:
-            self.kappa = v.residue_field()
-            self.alpha = self.kappa.gen
-        # the precision each case needs; a shortfall doubles it and retries
-        if self.N == 0:
-            self.prec = 1
-        elif self.multiplicative:
-            self.prec = (self.N + 1) // 2
-        else:
-            self.prec = self.N
-        inv = model.invariants()
-        self._coeffs = (model.a1, model.a2, model.a3, model.a4,
-                        inv.b2, inv.b4, inv.b6, inv.b8)
-        self._tau = None if tau.is_identity() else tau
-        self._at = {}
+        self.r, self.s = (tau.r, tau.s) if self.m else (None, None)
 
-    def _embed(self, f: Poly):
-        if self.kappa is f.field:
-            return list(f.coeffs)
-        return [self.kappa.element((c,)) for c in f.coeffs]
-
-    def _taylor(self, f: Poly, n: int):
-        """The first n coefficients of f(alpha + e)."""
-        zero = self.kappa.zero
-        cs = self._embed(f)
-        if not self.alpha:
-            return (cs + [zero] * n)[:n]
-        out = []
-        for _ in range(n):
-            acc = zero
-            quo = []
-            for c in reversed(cs):
-                acc = acc * self.alpha + c
-                quo.append(acc)
-            out.append(quo.pop() if quo else zero)
-            quo.reverse()
-            cs = quo
-        return out
-
-    def series(self, num: Poly, den: Poly, weight: int, n: int):
-        """The first n coefficients of (num/den) t^(-weight h), which is
-        integral at v."""
-        zero = self.kappa.zero
+    def _order(self, num: Poly, den_deg: int, weight: int):
+        """v(num / den) on E_v for a quantity of the given weight, with den
+        a unit at v if v is finite and of degree den_deg."""
         if not num:
-            return [zero] * n
+            return POS_INF
         if self.infinite:
-            shift = weight * self.h + den.degree - num.degree
-            if shift < 0:
-                raise FFECError(f"not integral at {self.place!r}")
-            k = n - shift
-            if k <= 0:
-                return [zero] * n
-            a = [num[num.degree - i] for i in range(k)]
-            b = [den[den.degree - i] for i in range(k)]
-            return [zero] * shift + _smul(a, _sinv(b))
-        a = self._taylor(num, n)
-        if den.degree == 0 and den.coeffs[0] is den.field.one:
-            return a
-        return _smul(a, _sinv(self._taylor(den, n)))
+            val = den_deg - num.degree + weight * self.h
+        else:
+            val = self.place.valuation_poly(num)
+        return val - weight * self.m
 
-    def _data(self, n: int):
-        """E_v's a1, a2, a3, a4, b2, b4, b6, b8 to n - 3m terms, and the
-        transform's 1/unit^2, 1/unit^3, r, s, w to n terms."""
-        got = self._at.get(n)
-        if got is None:
-            k = n - 3 * self.m
-            coeffs = [self.series(c.num, c.den, 0, k) for c in self._coeffs]
-            tau = self._tau
-            if tau is None:
-                got = coeffs, None
-            else:
-                u = self.series(tau.u.num, tau.u.den, 1, n)
-                ui = _sinv(u[self.m:])
-                ui2 = _smul(ui, ui)
-                got = coeffs, (ui2, _smul(ui2, ui),
-                               *(self.series(c.num, c.den, wt, n)
-                                 for c, wt in ((tau.r, 2), (tau.s, 1), (tau.w, 3))))
-            self._at[n] = got
-        return got
-
-    def local_height(self, X: Poly, Y: Poly, Z: Poly, W: Poly, vz: int):
-        """(case, 2 lambda_v(P)) for P = (X/Z, Y/W) on M, with vz = v(Z)."""
-        pole = X.degree - Z.degree - 2 * self.h if self.infinite else vz
+    def local_height(self, pt: _OnM, vz: int):
+        """(case, 2 lambda_v(P)) for P on M, with vz = v(Z)."""
+        X, Z, W = pt.X, pt.Z, pt.W
+        dz, dw = Z.degree, W.degree
+        n6 = Fraction(self.N, 6)
+        pole = X.degree - dz - 2 * self.h if self.infinite else vz
         if pole > 0:
             # P meets O on every model integral at v
-            return "a", pole + 2 * self.m + Fraction(self.N, 6)
-        n = start = self.prec + 3 * self.m
-        while n <= 64 * start:
-            got = self._silverman(X, Y, Z, W, n)
-            if got is not None:
-                return got
-            n *= 2
-        raise FFECError(f"local height at {self.place!r} does not resolve "
-                        f"at precision {n // 2}")
-
-    def _silverman(self, X, Y, Z, W, n):
-        """Silverman's case split on E_v at precision n, or None if n falls
-        short of what the case needs."""
-        m, N = self.m, self.N
-        n6 = Fraction(N, 6)
-        (a1, a2, a3, a4, b2, b4, b6, b8), tr = self._data(n)
-        x = self.series(X, Z, 2, n)
-        y = self.series(Y, W, 3, n)
-        k = n - 3 * m
-        if tr is None:
-            xv, yv = x, y
-        else:
-            ui2, ui3, r, s, w = tr
-            xr = _sadd(x, _sscale(-1, r))
-            j = _sval(xr)
-            if j < 2 * m:
-                return "a", 2 * m - j + n6
-            xv = _smul(xr[2 * m:], ui2)[:k]
-            yr = _sadd(y, _sscale(-1, _smul(s, xr)), _sscale(-1, w))
-            yv = _smul(yr[3 * m:], ui3)
-        psi2 = _sadd(_sscale(2, yv), _smul(a1, xv), a3)
-        xx = _smul(xv, xv)
-        fx = _sadd(_sscale(3, xx), _sscale(2, _smul(a2, xv)), a4,
-                   _sscale(-1, _smul(a1, yv)))
-        if psi2[0] or fx[0]:
+            return "a", pole + 2 * self.m + n6
+        r, s = self.r, self.s
+        if self.m:
+            vx = self._order(X * r.den - r.num * Z, dz + r.den.degree, 2)
+            if vx < 0:
+                return "a", n6 - vx
+        v2 = self._order(pt.psi2, dz + dw, 3)
+        if not v2:
             return "a", n6
-        v2 = _sval(psi2)
+        fx, dfx = pt.fx, 2 * dz + dw
+        if self.m:
+            fx, dfx = fx * s.den - s.num * pt.psi2 * Z, dfx + s.den.degree
+        if not self._order(fx, dfx, 4):
+            return "a", n6
+        N = self.N
         if self.multiplicative:
-            if v2 == k and 2 * k < N:
-                return None
-            e = min(Fraction(v2), Fraction(N, 2))
+            e = Fraction(N, 2) if 2 * v2 >= N else Fraction(v2)
             return "b", n6 - e * (N - e) / N
-        x3 = _smul(xx, xv)
-        psi3 = _sadd(_sscale(3, _smul(xx, xx)), _smul(b2, x3),
-                     _sscale(3, _smul(b4, xx)), _sscale(3, _smul(b6, xv)), b8)
-        v3 = _sval(psi3)
-        if v3 < k and v3 < 3 * v2:
+        v3 = self._order(pt.psi3, 4 * dz, 8)
+        if v3 < 3 * v2:
             return "d", n6 - Fraction(v3, 4)
-        if v2 < k and 3 * v2 <= v3:
-            return "c", n6 - Fraction(2 * v2, 3)
-        return None
+        return "c", n6 - Fraction(2 * v2, 3)
 
 
 @dataclass(frozen=True)
 class _CurveHeights:
     """The per-curve part of the local-height sum: the transform to the
-    polynomial minimal model M (None for the identity) and the places of
-    S, infinity first, then the factors of M's discriminant."""
+    polynomial minimal model M (None for the identity), M's a1, a2, a3,
+    a4, b2, b4, b6, b8 as polynomials, and the places of S, infinity
+    first, then the factors of M's discriminant."""
 
     transform: Transform | None
+    coeffs: tuple[Poly, ...]
     places: tuple[_Local, ...]
 
 
@@ -291,8 +191,11 @@ class _CurveHeights:
 def _curve_heights(E: Curve) -> _CurveHeights:
     A = curve_analysis(E)
     M, tau = A.cls.model, A.cls.transform
-    return _CurveHeights(None if tau.is_identity() else tau,
-                         tuple(_Local(M, ld, A.cls.height) for ld in A.local))
+    inv = M.invariants()
+    coeffs = tuple(c.num for c in (M.a1, M.a2, M.a3, M.a4,
+                                   inv.b2, inv.b4, inv.b6, inv.b8))
+    return _CurveHeights(None if tau.is_identity() else tau, coeffs,
+                         tuple(_Local(ld, A.cls.height) for ld in A.local))
 
 
 def local_heights(E: Curve, P: CurvePoint):
@@ -301,15 +204,14 @@ def local_heights(E: Curve, P: CurvePoint):
     case is Silverman's: "a" nonsingular reduction, "b" multiplicative,
     "c" v(psi3) >= 3 v(psi2), "d" otherwise."""
     data = _curve_heights(E)
-    Q = P if data.transform is None else data.transform.apply_point(P)
-    X, Z = Q.x.num, Q.x.den
-    Y, W = Q.y.num, Q.y.den
-    rest = _deg(Z)
+    pt = _OnM(data.coeffs,
+              P if data.transform is None else data.transform.apply_point(P))
+    rest = _deg(pt.Z)
     out = []
     for loc in data.places:
-        vz = 0 if loc.place.is_infinite else loc.place.valuation_poly(Z)
-        rest -= loc.deg * vz
-        case, lam = loc.local_height(X, Y, Z, W, vz)
+        vz = 0 if loc.infinite else loc.place.valuation_poly(pt.Z)
+        rest -= loc.place.degree * vz
+        case, lam = loc.local_height(pt, vz)
         out.append((loc.place, case, lam))
     return out, rest
 
@@ -403,13 +305,10 @@ def is_torsion(E: Curve, P: CurvePoint) -> bool:
         return True
     if canonical_height(E, P).value:
         return False
-    m = torsion_bound(E)
-    Q = E.scalar_mul(m, P)
-    if Q.is_infinity:
-        return True
-    p = E.field.p
-    for _ in range(2):
-        Q = E.scalar_mul(p, Q)
+    m, p = torsion_bound(E), E.field.p
+    Q = P
+    for k in (m, p, p):
+        Q = E.scalar_mul(k, Q)
         if Q.is_infinity:
             return True
     raise TorsionInconclusive(
@@ -428,11 +327,9 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
         raise ValueError("the point formula needs p > 2")
     if f < 1:
         raise ValueError("the constant-field exponent must be positive")
+    F = field_create(p, 2 * f)
     q = p ** f
     d = q + 1
-    if p ** (2 * f) > PLACE_CAP:
-        raise FFECError(f"constant field F_{p ** (2 * f)} exceeds the cap")
-    F = field_create(p, 2 * f)
     zeta = F.canonical_generator() ** ((F.q - 1) // d)
     u = Poly.x(F)
     E = Curve(F, a1=1, a2=u ** d, a3=u ** d, var="u")

@@ -463,6 +463,42 @@ def test_valuation_examples():
     assert valuation(RatFunc.one(F2) / t ** 2, v) == -2
 
 
+def _valuation_by_divmod(f, g):
+    if not f:
+        return POS_INF
+    v = 0
+    while True:
+        q, r = divmod(f, g)
+        if r:
+            return v
+        f, v = q, v + 1
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2)])
+def test_valuation_poly_matches_divmod(p, e, rng):
+    """The in-place synthetic division of Place.valuation_poly against
+    repeated divmod, at places of degree 1 to 3 (t itself among them) and
+    infinity, on g^k h for k = 0 .. 6 and on the zero polynomial."""
+    F = field_create(p, e)
+    places = [Place(F, g, _checked=True) for n in (1, 2, 3)
+              for g in itertools.islice(iter_monic_irreducibles(F, n), 3)]
+    assert Place(F, Poly.x(F), _checked=True) in places
+    for v in places:
+        g = v.poly
+        assert v.valuation_poly(Poly.zero(F)) == POS_INF
+        for k in range(7):
+            for _ in range(3):
+                f = g ** k * rand_poly(F, rng.randrange(8), rng)
+                want = _valuation_by_divmod(f, g)
+                assert v.valuation_poly(f) == want
+                assert want >= k
+    inf = Place.infinite(F)
+    assert inf.valuation_poly(Poly.zero(F)) == POS_INF
+    for n in range(6):
+        f = rand_poly(F, n, rng, monic=True)
+        assert inf.valuation_poly(f) == -n
+
+
 def test_degree_sum_of_principal_divisor(rng):
     # sum over places of valuation * degree is 0 for nonzero functions
     F = field_create(3)

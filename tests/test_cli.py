@@ -255,6 +255,51 @@ def test_python_m_ffec():
     assert by_kind(records, "gram")[0]["rank"] == 2
 
 
+@pytest.mark.parametrize("argv, curve", [
+    (["analyze"], "p = 2305843009213693951\ne = 1\na6 = t\n"),
+    (["analyze"], "p = 3\ne = 1000000000\na6 = t\n"),
+    (["points", "--p", "2305843009213693951"], None),
+    (["points", "--p", "3", "--f", "1000000000"], None),
+], ids=["analyze-p-2^61-1", "analyze-e-1e9", "points-p-2^61-1", "points-f-1e9"])
+def test_huge_fields_end_in_cap_records(tmp_path, argv, curve):
+    """The cap is decided before trial division up to sqrt(p) and before
+    p^e is formed; a subprocess with a timeout turns a hang into a
+    failure."""
+    if curve is not None:
+        f = tmp_path / "huge.curve"
+        f.write_text(curve)
+        argv = argv + ["--curve", str(f)]
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ffec", *argv], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 1, out.stderr
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [r["record"] for r in records] == ["meta", "error", "summary"]
+    assert records[1]["message"].startswith("cap: ")
+
+
+@pytest.mark.parametrize("a6", ["(" * 300 + "t" + ")" * 300, "-" * 300 + "t"],
+                         ids=["parentheses", "signs"])
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys, a6):
+    f = tmp_path / "deep.curve"
+    f.write_text(f"p = 5\ne = 1\na6 = {a6}\n")
+    code, records, _ = run(capsys, ["analyze", "--curve", str(f)])
+    assert code == 1
+    assert [r["record"] for r in records] == ["meta", "error", "summary"]
+    msg = records[1]["message"]
+    assert msg.startswith("parse: line 3") and "nested deeper" in msg
+
+
+def test_moderate_nesting_parses(tmp_path, capsys):
+    f = tmp_path / "nested.curve"
+    f.write_text("p = 5\ne = 1\na6 = " + "(" * 90 + "t" + ")" * 90 + "\n")
+    code, records, _ = run(capsys, ["analyze", "--curve", str(f)])
+    assert code == 0
+    assert by_kind(records, "classification")[0]["curve"] == \
+        "Curve(F_5(t); 0, 0, 0, 0, t)"
+
+
 def test_points_unknown_family(capsys):
     code, records, _ = run(capsys, ["points", "--p", "3", "--family", "weird"])
     assert code == 1

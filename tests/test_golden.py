@@ -5,9 +5,10 @@ tests/data/<case>.jsonl after masking what may differ between runs and
 machines: the `seconds` of the summary record, the Python version of the
 meta record, and the directory of the curve file in its command line.
 
-To record the outputs again (only when a report is meant to change):
+To record the outputs again (only when a report is meant to change), all
+cases or the named ones:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
 """
 
 import contextlib
@@ -25,6 +26,8 @@ DATA = pathlib.Path(__file__).parent / "data"
 CASES = {
     "points-p3": ["points", "--p", "3"],
     "points-p5": ["points", "--p", "5"],
+    "points-p7": ["points", "--p", "7"],
+    "points-p3-f2": ["points", "--p", "3", "--f", "2"],
     "tower-e9-f2-scan2": ["tower", "--curve", "e9-f2.curve", "--scan", "2"],
     "tower-e7-f2-d9-mu": ["tower", "--curve", "e7-f2.curve", "--d", "9", "--mu"],
     "analyze-e7-f2": ["analyze", "--curve", "e7-f2.curve"],
@@ -64,6 +67,10 @@ def test_report_matches_recording(case):
 
 
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        (DATA / f"{name}.jsonl").write_text(report(argv), encoding="utf-8")
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; known: {sorted(CASES)}")
+    for name in names:
+        (DATA / f"{name}.jsonl").write_text(report(CASES[name]), encoding="utf-8")
         print(f"recorded {name}", file=sys.stderr)

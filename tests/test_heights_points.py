@@ -426,9 +426,10 @@ DATA = pathlib.Path(__file__).parent / "data"
 @pytest.mark.parametrize("source", sorted(f.name for f in DATA.glob("*.curve")) +
                          ["legendre p=3", "legendre p=5"])
 def test_local_models_are_the_minimal_models(source):
-    """Each place of S takes the model Tate's algorithm left there, as
-    its transform applied to M, and no second lookup: the model and the
-    transform equal those of minimal_model_at."""
+    """The places of S are those of curve_analysis, and each reads its
+    scaling off the transform Tate's algorithm left there: m is v(u) of
+    minimal_model_at's transform (plus h at infinity), and r and s are kept
+    exactly when m > 0."""
     if source.startswith("legendre"):
         E = legendre_family(int(source[-1])).curve
     else:
@@ -437,6 +438,35 @@ def test_local_models_are_the_minimal_models(source):
     places = heights_points._curve_heights(E).places
     assert [loc.place for loc in places] == [ld.place for ld in A.local]
     for loc in places:
-        model, tau = minimal_model_at(A.cls.model, loc.place)
-        assert loc.model == model
-        assert loc._tau == (None if tau.is_identity() else tau)
+        _, tau = minimal_model_at(A.cls.model, loc.place)
+        h = A.cls.height if loc.place.is_infinite else 0
+        assert loc.m == loc.place.valuation(tau.u) + h >= 0
+        assert (loc.r is not None) == (loc.s is not None) == (loc.m > 0)
+        if loc.m:
+            assert (loc.r, loc.s) == (tau.r, tau.s)
+
+
+def test_heights_build_no_model(monkeypatch):
+    """Once curve_analysis is cached, the local heights apply no transform
+    to a curve: every valuation is read on M."""
+    E = _curve(5, 1, a6="t^3 + t^2")
+    F = E.field
+    tau = Transform.make(F, u=parse_ratfunc("t^2+t+1", F)).then(
+        Transform.make(F, r=parse_ratfunc("t+1", F), s=parse_ratfunc("t", F)))
+    E1 = tau.apply(E)
+    found = brute_force_points(E)[:3]
+    fam = legendre_family(3)
+    cases = [(fam.curve, fam.points[:3]), (E, found),
+             (E1, [tau.apply_point(P) for P in found])]
+    for C, _ in cases:
+        curve_analysis(C)
+    heights_points._curve_heights.cache_clear()
+    applied = []
+    real = Transform.apply
+    monkeypatch.setattr(Transform, "apply",
+                        lambda self, C: applied.append(C) or real(self, C))
+    for C, pts in cases:
+        assert heights_points._curve_heights(C).places
+        for P in pts:
+            canonical_height(C, P)
+    assert applied == []
