@@ -1,5 +1,6 @@
 """Exact arithmetic over finite fields, the polynomial rings F_q[t], the
-rational function fields F_q(t), and the places of the projective line.
+rational function fields F_q(t), and the places of the projective line;
+also the one exact Gaussian elimination over Q (row_reduce).
 
 Conventions used everywhere:
 
@@ -17,6 +18,7 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,6 +89,33 @@ def _moebius(n: int) -> int:
             return 0
         mu = -mu
     return mu if n >= 1 else 0
+
+
+def row_reduce(rows):
+    """Gauss-Jordan elimination over Q: (the reduced row echelon form as
+    Fractions, its pivot columns, the determinant).  The determinant is
+    that of a square matrix (0 when it is singular)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for c in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(m)) if m[r][c]), None)
+        if piv is None:
+            det = Fraction(0)
+            continue
+        if piv != top:
+            m[top], m[piv] = m[piv], m[top]
+            det = -det
+        det *= m[top][c]
+        inv = 1 / m[top][c]
+        m[top] = [x * inv for x in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
+        pivots.append(c)
+    return m, pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +291,13 @@ class FqElem:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of 0")
-        T = self.field._table
+        F = self.field
+        T = F._table
         if T is not None:
             return T.exp[-self.log]
-        return self ** (self.field.q - 2)
+        if F.q <= PLACE_CAP or F.base is None:
+            return self ** (F.q - 2)
+        return F._make(F._vinv(self.val))
 
     def __repr__(self):
         return format_element(self)
@@ -391,6 +423,22 @@ class Fq:
         out, bq = 0, B.q
         for c in reversed(conv[:d]):
             out = out * bq + c
+        return out
+
+    def _vinv(self, a: int) -> int:
+        """The code of 1/a, a != 0, by extended Euclid in base[t] against
+        the modulus: deg divisions, not the 2 log2(q) products of a^(q-2)."""
+        B = self.base
+        r0, r1 = Poly(B, self.modulus), Poly(B, [B._make(c) for c in self._digits(a)])
+        s0, s1 = Poly.zero(B), Poly.one(B)
+        while r1.degree > 0:
+            quo, rem = divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, s0 - quo * s1
+        # r1 is a nonzero constant c with s1 * a = c modulo the modulus
+        out, c = 0, r1.coeffs[0].inverse()
+        for x in reversed(s1.coeffs):
+            out = out * B.q + (x * c).val
         return out
 
     # constructors

@@ -38,6 +38,7 @@ from .algebra import (
     RatFunc,
     field_create,
     format_ratfunc,
+    row_reduce,
 )
 from .local import LocalData, curve_analysis, torsion_bound
 from .weierstrass import Curve, CurvePoint, Transform
@@ -247,34 +248,13 @@ def gram_matrix(E: Curve, points) -> list[list[Fraction]]:
     return gram
 
 
-def _row_reduce(rows: list[list[Fraction]]):
-    """The reduced row echelon form of a rational matrix, and its pivot
-    columns."""
-    m = [row[:] for row in rows]
-    pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        piv = next((r for r in range(top, len(m)) if m[r][c]), None)
-        if piv is None:
-            continue
-        m[top], m[piv] = m[piv], m[top]
-        inv = 1 / m[top][c]
-        m[top] = [x * inv for x in m[top]]
-        for r in range(len(m)):
-            if r != top and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[top])]
-        pivots.append(c)
-    return m, pivots
-
-
 def _rational_rank(rows: list[list[Fraction]]) -> int:
-    return len(_row_reduce(rows)[1])
+    return len(row_reduce(rows)[1])
 
 
 def _kernel_basis(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
     """Primitive integer vectors spanning the rational null space."""
-    m, pivots = _row_reduce(rows)
+    m, pivots, _ = row_reduce(rows)
     n = len(m[0]) if m else 0
     basis = []
     for c in range(n):

@@ -271,6 +271,15 @@ def _fe_sign(c, q: int, N: int, d: int):
     return int(eps) if checked else None
 
 
+def _check_cap(q: int, N: int, d: int = 1) -> None:
+    """Raise CapError unless the expansion of an L of degree N over F_q
+    can count points at places of degree max(d, N//2 + 1), the least it
+    must reach."""
+    cap = next(k for k in itertools.count(1) if q ** k > PLACE_CAP)
+    if max(d, N // 2 + 1) >= cap:
+        raise CapError(f"cannot count points at places of degree {cap}: q_v = {q ** cap}")
+
+
 def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
     """The L-function of a non-constant E over F_q(t), exactly.
 
@@ -314,13 +323,11 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
         elif ld.type.is_multiplicative:
             _absorb_mult(series, d, ld.a_v)
 
-    cap = next(d for d in itertools.count(1) if q ** d > PLACE_CAP)
     eps = None
     d = 0
     while eps is None:
         d += 1
-        if max(d, N // 2 + 1) >= cap:
-            raise CapError(f"cannot count points at places of degree {cap}: q_v = {q ** cap}")
+        _check_cap(q, N, d)
         qv = q ** d
         good = 0
         for n in _good_counts(A.cls.model, d):

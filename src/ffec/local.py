@@ -6,10 +6,12 @@ five coefficients as polynomials integral at the place: scaled by the least
 pi^k that makes them integral and cleared of the denominators left, which
 are prime to pi (at infinity, reversed in s = 1/t and run at s = 0).
 v(Delta) is read once from the curve and drops by 12 at each non-minimal
-step; b2, b6 and b8 are formed only where a test reads them, and one
-Transform, pulled back from the s-chart at infinity, is built at the end.
-All residue tests (splitness of tangent cones, distinct roots of the
-auxiliary quadratics and cubic) go through polynomial factorization over the
+step.  The Weierstrass algebra is weierstrass's: each move is
+weierstrass.translate on the coefficients, composed into one Transform of
+polynomials by Transform.then and pulled back from the s-chart at infinity
+at the end, and the b6 and b8 tests read weierstrass.b_invariants.  Every
+residue test (splitness of tangent cones, the roots of the auxiliary
+quadratics and cubic) reads the roots that algebra.poly_roots finds over the
 residue field, which keeps the characteristic-2 and -3 paths on the same
 code as the generic case.
 
@@ -31,7 +33,6 @@ from .algebra import (
     PLACE_CAP,
     CapError,
     FFECError,
-    FqElem,
     Place,
     Poly,
     RatFunc,
@@ -39,7 +40,8 @@ from .algebra import (
     factor_poly,
     poly_roots,
 )
-from .weierstrass import Classification, Curve, Transform, classify
+from .weierstrass import (WEIGHTS, Classification, Curve, Transform, b_invariants,
+                          classify, translate)
 
 
 class UndefinedRowError(FFECError):
@@ -65,38 +67,6 @@ class KodairaType:
             raise ValueError(f"unknown Kodaira kind {self.kind!r}")
         elif self.n:
             raise ValueError(f"{self.kind} takes no index")
-
-    @staticmethod
-    def I(n: int) -> "KodairaType":
-        return KodairaType("I", n)
-
-    @staticmethod
-    def Istar(n: int) -> "KodairaType":
-        return KodairaType("I*", n)
-
-    @staticmethod
-    def II() -> "KodairaType":
-        return KodairaType("II")
-
-    @staticmethod
-    def III() -> "KodairaType":
-        return KodairaType("III")
-
-    @staticmethod
-    def IV() -> "KodairaType":
-        return KodairaType("IV")
-
-    @staticmethod
-    def IVstar() -> "KodairaType":
-        return KodairaType("IV*")
-
-    @staticmethod
-    def IIIstar() -> "KodairaType":
-        return KodairaType("III*")
-
-    @staticmethod
-    def IIstar() -> "KodairaType":
-        return KodairaType("II*")
 
     @property
     def m(self) -> int:
@@ -187,18 +157,13 @@ class Conductor:
         return f"Conductor({inside}; deg {self.deg})"
 
 
-def _root_of_linear(g: Poly) -> FqElem:
-    # g monic linear
-    return -g.coeffs[0]
-
-
 def _quad_verdict(K, c2, c1, c0):
-    """Factor c2*Y^2 + c1*Y + c0 over K.  Returns ("split"|"nonsplit", None)
-    for separable quadratics or ("double", root) otherwise."""
-    _, fac = factor_poly(Poly(K, [c0, c1, c2]))
-    if all(e == 1 for _, e in fac):
-        return ("split" if len(fac) == 2 else "nonsplit"), None
-    return "double", _root_of_linear(fac[0][0])
+    """(split, root) from the roots of c2*Y^2 + c1*Y + c0 over K: whether a
+    separable quadratic splits, with root None, or (None, the double root)."""
+    roots = poly_roots(Poly(K, [c0, c1, c2]))
+    if roots and roots[0][1] == 2:
+        return None, roots[0][0]
+    return len(roots) == 2, None
 
 
 def _singular_point(K, a1, a2, a3, a4, a6):
@@ -207,15 +172,9 @@ def _singular_point(K, a1, a2, a3, a4, a6):
     if K.p != 2:
         half = K.scalar(2).inverse()
         quarter = half * half
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
+        b2, b4, b6, _ = b_invariants(a1, a2, a3, a4, a6)
         cubic = Poly(K, [b6 * quarter, b4 * half, b2 * quarter, K.one])
-        x0 = None
-        for r, mult in poly_roots(cubic):
-            if mult >= 2:
-                x0 = r
-                break
+        x0 = next((r for r, mult in poly_roots(cubic) if mult >= 2), None)
         if x0 is None:
             raise FFECError("no singular point on a singular fiber")
         y0 = -(a1 * x0 + a3) * half
@@ -229,9 +188,6 @@ def _singular_point(K, a1, a2, a3, a4, a6):
     return x0, y0
 
 
-_WEIGHTS = (1, 2, 3, 4, 6)
-
-
 def _integral_coeffs(E: Curve, v: Place, pi: Poly):
     """(a, k, D): the coefficients of E scaled by u = 1/(pi^k D), as
     polynomials (in s = 1/t at infinity).  pi^k is the least scaling that
@@ -242,14 +198,14 @@ def _integral_coeffs(E: Curve, v: Place, pi: Poly):
         # v(a) = deg den - deg num, and s^{ik} a(1/s) is num reversed to
         # length ik + deg den over den reversed to its own length
         k = max([-((a.den.degree - a.num.degree) // i)
-                 for i, a in zip(_WEIGHTS, cs) if a] + [0])
+                 for i, a in zip(WEIGHTS, cs) if a] + [0])
         parts = [(a.num.reverse(i * k + a.den.degree), a.den.reverse(a.den.degree))
-                 for i, a in zip(_WEIGHTS, cs)]
+                 for i, a in zip(WEIGHTS, cs)]
     else:
         m = [v.valuation_poly(a.den) if a.den.degree else 0 for a in cs]
-        k = max(-(-mi // i) for i, mi in zip(_WEIGHTS, m))
+        k = max(-(-mi // i) for i, mi in zip(WEIGHTS, m))
         parts = [(a.num * pi ** (i * k - mi), a.den.exact_div(pi ** mi) if mi else a.den)
-                 for i, a, mi in zip(_WEIGHTS, cs, m)]
+                 for i, a, mi in zip(WEIGHTS, cs, m)]
     D = Poly.one(E.field)
     for _, den in parts:
         if den.degree > 0:
@@ -257,12 +213,7 @@ def _integral_coeffs(E: Curve, v: Place, pi: Poly):
     if not D.degree:
         return [num for num, _ in parts], k, D
     return ([num * D.exact_div(den) * D ** (i - 1)
-             for i, (num, den) in zip(_WEIGHTS, parts)], k, D)
-
-
-def _transform_from_chart(tau: Transform) -> Transform:
-    """The transform in t of one on the chart s = 1/t."""
-    return Transform(*(x.reciprocal_var() for x in (tau.u, tau.r, tau.s, tau.w)))
+             for i, (num, den) in zip(WEIGHTS, parts)], k, D)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -277,30 +228,13 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
     pi, K = at.poly, at.residue_field()
     a, k, D = _integral_coeffs(E, v, pi)
     vd = v.valuation(E.invariants().delta) + 12 * k
-    zero = Poly.zero(F)
-    tau = [Poly.one(F), zero, zero, zero]  # (pi^e, r, s, w) after the scaling
+    one, zero = Poly.one(F), Poly.zero(F)
+    tau = Transform(one, zero, zero, zero)  # the moves after the scaling
 
     def move(r=zero, s=zero, w=zero):
-        """x = x' + r, then y = y' + s x', then y = y' + w."""
-        a1, a2, a3, a4, a6 = a
-        if r:
-            r2 = r * r
-            a6 = a6 + r * a4 + r2 * a2 + r2 * r
-            a4 = a4 + 2 * r * a2 + 3 * r2
-            a3 = a3 + r * a1
-            a2 = a2 + 3 * r
-        if s:
-            a4 = a4 - s * a3
-            a2 = a2 - s * a1 - s * s
-            a1 = a1 + 2 * s
-        if w:
-            a6 = a6 - w * a3 - w * w
-            a4 = a4 - w * a1
-            a3 = a3 + 2 * w
-        a[:] = a1, a2, a3, a4, a6
-        u, r0, s0, w0 = tau  # composed by the rule of Transform.then
-        u2 = u * u
-        tau[1:] = r0 + u2 * r, s0 + u * s, w0 + u2 * (r * s0 + u * w)
+        nonlocal a, tau
+        a = translate(a, r, s, w)
+        tau = tau.then(Transform(one, r, s, w))
 
     def red(f, j=0):
         """The residue of f / pi^j, for f divisible by pi^j."""
@@ -317,11 +251,11 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
         return False
 
     def finish(kt, f, split, a_v):
-        T = Transform(*(RatFunc(x) for x in tau))
+        T = tau.map(RatFunc)
         if k or D.degree:
             T = Transform.make(F, u=RatFunc(pi ** k * D).reciprocal()).then(T)
         if v.is_infinite:
-            T = _transform_from_chart(T)
+            T = T.map(RatFunc.reciprocal_var)
         return LocalData(v, kt, vd - kt.m + 1, f, split, a_v, vd, T)
 
     for _ in range(64):
@@ -331,37 +265,36 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
                 a_v = at.qv + 1 - count_ws_points(K, *(red(x) for x in a))
                 if a_v * a_v > 4 * at.qv:
                     raise FFECError("point count violates the Hasse bound")
-            return finish(KodairaType.I(0), 1, None, a_v)
+            return finish(KodairaType("I", 0), 1, None, a_v)
 
         x0, y0 = _singular_point(K, *(red(x) for x in a))
         if x0 or y0:
             move(r=at.lift(x0), w=at.lift(y0))
+        # a3, a4 and a6 now vanish at v: the singular point is (0, 0)
         r1, r2 = red(a[0]), red(a[1])
 
-        if r1 * r1 + 4 * r2:
+        if b_invariants(r1, r2, K.zero, K.zero, K.zero)[0]:
             # v(b2) = 0, nodal with distinct tangent slopes: I_n
-            split = _quad_verdict(K, K.one, r1, -r2)[0] == "split"
+            split = _quad_verdict(K, K.one, r1, -r2)[0]
             f = vd if split else vd // 2 + 1
-            return finish(KodairaType.I(vd), f, split, 1 if split else -1)
-        a1, a2, a3, a4, a6 = a
-        if below(a6, 2):
-            return finish(KodairaType.II(), 1, None, 0)
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+            return finish(KodairaType("I", vd), f, split, 1 if split else -1)
+        if below(a[4], 2):
+            return finish(KodairaType("II"), 1, None, 0)
+        _, _, b6, b8 = b_invariants(*a)
         if below(b8, 3):
-            return finish(KodairaType.III(), 2, None, 0)
-        if below(a3 * a3 + 4 * a6, 3):  # b6
-            verdict, _ = _quad_verdict(K, K.one, red(a3, 1), -red(a6, 2))
-            split = verdict == "split"
-            return finish(KodairaType.IV(), 3 if split else 2, split, 0)
+            return finish(KodairaType("III"), 2, None, 0)
+        if below(b6, 3):
+            split = _quad_verdict(K, K.one, red(a[2], 1), -red(a[4], 2))[0]
+            return finish(KodairaType("IV"), 3 if split else 2, split, 0)
 
         # normalize to v(a1) >= 1, v(a2) >= 1, v(a3) >= 2, v(a4) >= 2, v(a6) >= 3
-        verdict, alpha = _quad_verdict(K, K.one, r1, -r2)
-        if verdict != "double":
+        split, alpha = _quad_verdict(K, K.one, r1, -r2)
+        if split is not None:
             raise FFECError("tangent quadratic must degenerate here")
         if alpha:
             move(s=at.lift(alpha))
-        verdict, beta = _quad_verdict(K, K.one, red(a[2], 1), -red(a[4], 2))
-        if verdict != "double":
+        split, beta = _quad_verdict(K, K.one, red(a[2], 1), -red(a[4], 2))
+        if split is not None:
             raise FFECError("vertical quadratic must degenerate here")
         if beta:
             move(w=pi * at.lift(beta))
@@ -369,68 +302,58 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
         assert not (below(a1, 1) or below(a2, 1) or below(a3, 2)
                     or below(a4, 2) or below(a6, 3))
 
-        cubic = Poly(K, [red(a6, 3), red(a4, 2), red(a2, 1), K.one])
-        _, fac = factor_poly(cubic)
-        mults = sorted(e for _, e in fac)
-        if mults[-1] == 1:
-            # separable cubic: I0*, components split per the orbit pattern
-            orbits = len(fac)
-            split = {3: True, 2: False, 1: None}[orbits]
-            return finish(KodairaType.Istar(0), 2 + orbits, split, 0)
+        roots = poly_roots(Poly(K, [red(a6, 3), red(a4, 2), red(a2, 1), K.one]))
+        gamma, mult = max(roots, key=lambda rm: rm[1], default=(None, 1))
+        if mult == 1:
+            # separable cubic: I0*, components split per the orbits of its roots
+            orbits, split = {3: (3, True), 1: (2, False), 0: (1, None)}[len(roots)]
+            return finish(KodairaType("I*", 0), 2 + orbits, split, 0)
+        if gamma:
+            move(r=pi * at.lift(gamma))
+        a1, a2, a3, a4, a6 = a
 
-        if mults == [1, 2]:
+        if mult == 2:
             # one double root: the I_n* chain
-            gamma = next(_root_of_linear(g) for g, e in fac if e == 2)
-            if gamma:
-                move(r=pi * at.lift(gamma))
-            a1, a2, a3, a4, a6 = a
             assert below(a2, 2) and not (below(a2, 1) or below(a4, 3)
                                          or below(a6, 4))
             step = 2
             while True:
                 if step > vd:
                     raise FFECError("I_n* chain failed to terminate")
-                verdict, beta = _quad_verdict(
+                split, beta = _quad_verdict(
                     K, K.one, red(a[2], step), -red(a[4], 2 * step))
-                if verdict != "double":
+                if split is not None:
                     nu = 2 * step - 3
-                    split = verdict == "split"
                     break
                 if beta:
                     move(w=pi ** step * at.lift(beta))
-                verdict, gamma = _quad_verdict(
+                split, gamma = _quad_verdict(
                     K, red(a[1], 1), red(a[3], step + 1), red(a[4], 2 * step + 1))
-                if verdict != "double":
+                if split is not None:
                     nu = 2 * step - 2
-                    split = verdict == "split"
                     break
                 if gamma:
                     move(r=pi ** step * at.lift(gamma))
                 step += 1
             f = 5 + nu if split else 4 + nu
-            return finish(KodairaType.Istar(nu), f, split, 0)
+            return finish(KodairaType("I*", nu), f, split, 0)
 
         # triple root
-        gamma = _root_of_linear(fac[0][0])
-        if gamma:
-            move(r=pi * at.lift(gamma))
-        a1, a2, a3, a4, a6 = a
         assert not (below(a2, 2) or below(a4, 3) or below(a6, 4))
-        verdict, beta = _quad_verdict(K, K.one, red(a3, 2), -red(a6, 4))
-        if verdict != "double":
-            split = verdict == "split"
-            return finish(KodairaType.IVstar(), 7 if split else 5, split, 0)
+        split, beta = _quad_verdict(K, K.one, red(a3, 2), -red(a6, 4))
+        if split is not None:
+            return finish(KodairaType("IV*"), 7 if split else 5, split, 0)
         if beta:
             move(w=pi ** 2 * at.lift(beta))
         a1, a2, a3, a4, a6 = a
         assert not (below(a3, 3) or below(a6, 5))
         if below(a4, 4):
-            return finish(KodairaType.IIIstar(), 8, None, 0)
+            return finish(KodairaType("III*"), 8, None, 0)
         if below(a6, 6):
-            return finish(KodairaType.IIstar(), 9, None, 0)
+            return finish(KodairaType("II*"), 9, None, 0)
         # non-minimal: all a_i divisible by pi^i after the translations
-        a[:] = [x.exact_div(pi ** i) for i, x in zip(_WEIGHTS, a)]
-        tau[0] = tau[0] * pi
+        a = [x.exact_div(pi ** i) for i, x in zip(WEIGHTS, a)]
+        tau = tau.then(Transform(pi, zero, zero, zero))
         vd -= 12
     raise FFECError("reduction loop failed to terminate")
 

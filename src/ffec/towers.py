@@ -19,10 +19,11 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .algebra import FFECError, mult_order, orbit_decomposition
+from .algebra import FFECError, Poly, mult_order, orbit_decomposition, row_reduce
 from .weierstrass import Curve, base_change_pow
-from .local import nprime_deg
-from .lfunction import LPoly, _extend_inverse_roots, analytic_rank, l_polynomial
+from .local import conductor, nprime_deg
+from .lfunction import (LPoly, _check_cap, _extend_inverse_roots, _subfield_exponent,
+                        analytic_rank, l_polynomial)
 
 
 # ---------------------------------------------------------------------------
@@ -40,40 +41,15 @@ def _mat_T(A):
 
 def _mat_inv(A):
     n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return [row[n:] for row in M]
+    m, pivots, _ = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                               for i, row in enumerate(A)])
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
+    return [row[n:] for row in m]
 
 
 def _mat_det(A):
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det
+    return row_reduce(A)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -251,16 +227,31 @@ def random_block_system(a: int, w: int, rng) -> BlockSystem:
 # ---------------------------------------------------------------------------
 # L-functions up the tower
 
+def layer_degree_bound(E: Curve, d: int) -> int:
+    """A lower bound for N = deg(conductor) - 4 of E pulled back along
+    t = u^d, p not dividing d, read from E alone: each bad place v != 0,
+    infinity of E is unramified in t = u^d and keeps its exponent n_v, so
+    the layer's conductor degree is at least d * sum n_v deg v."""
+    t = Poly.x(E.field)
+    return d * sum(n * v.degree for v, n in conductor(E).entries
+                   if not v.is_infinite and v.poly != t) - 4
+
+
 def tower_l(E: Curve, d: int, use_mu_d: bool = False) -> LPoly:
     """L of E pulled back along t = u^d, over F_q(u) or F_q(mu_d)(u).
 
     F_q(mu_d)(u) is the constant extension of degree mult_order(q, d), so
     its L comes from the one over F_q(u) by raising the inverse roots to
-    that power; no curve over the larger field is built."""
+    that power; no curve over the larger field is built.  A layer whose L
+    is certainly beyond the cap (layer_degree_bound) raises CapError
+    before it is built."""
     if d < 1:
         raise ValueError("d must be positive")
     if math.gcd(d, E.field.p) != 1:
         raise ValueError(f"d = {d} is divisible by the characteristic")
+    # l_polynomial's own cap test, on the field it counts over after its
+    # descent, before the layer is built
+    _check_cap(E.field.p ** _subfield_exponent(E), layer_degree_bound(E, d))
     L = l_polynomial(base_change_pow(E, d) if d > 1 else E)
     if use_mu_d:
         L = _extend_inverse_roots(L, mult_order(E.field.q, d))

@@ -1,5 +1,11 @@
 """Weierstrass models over rational function fields: invariants, isomorphisms,
 the group law, and the basic classification (constant / isotrivial / height).
+
+The Weierstrass algebra is written once, for coefficients in any ring:
+WEIGHTS, b_invariants and translate (the change of coordinates with u = 1)
+serve Curve, Transform and Tate's algorithm in local alike, whether the
+coefficients are rational functions, polynomials or residue-field elements.
+Residue tests go through algebra.poly_roots.
 """
 
 from __future__ import annotations
@@ -41,6 +47,40 @@ def _as_ratfunc(field: Fq, v) -> RatFunc:
     if isinstance(v, str):
         return parse_ratfunc(v, field)
     raise ValueError(f"cannot interpret {v!r} as a rational function")
+
+
+# the weights of a1, a2, a3, a4, a6: x = u^2 x' scales a_i by u^i
+WEIGHTS = (1, 2, 3, 4, 6)
+
+
+def b_invariants(a1, a2, a3, a4, a6):
+    """(b2, b4, b6, b8) of the coefficients, in any ring they live in."""
+    return (a1 * a1 + 4 * a2,
+            2 * a4 + a1 * a3,
+            a3 * a3 + 4 * a6,
+            a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4)
+
+
+def translate(a, r, s, w):
+    """The coefficients a = (a1, a2, a3, a4, a6) after x = x' + r, then
+    y = y' + s x', then y = y' + w: the change of coordinates with u = 1,
+    in any ring the coefficients live in.  A zero r, s or w is skipped."""
+    a1, a2, a3, a4, a6 = a
+    if r:
+        r2 = r * r
+        a6 = a6 + r * a4 + r2 * a2 + r2 * r
+        a4 = a4 + 2 * r * a2 + 3 * r2
+        a3 = a3 + r * a1
+        a2 = a2 + 3 * r
+    if s:
+        a4 = a4 - s * a3
+        a2 = a2 - s * a1 - s * s
+        a1 = a1 + 2 * s
+    if w:
+        a6 = a6 - w * a3 - w * w
+        a4 = a4 - w * a1
+        a3 = a3 + 2 * w
+    return a1, a2, a3, a4, a6
 
 
 @dataclass(frozen=True)
@@ -167,12 +207,7 @@ class Curve:
 
     def invariants(self) -> Invariants:
         if self._inv is None:
-            a1, a2, a3, a4, a6 = self.coeffs
-            b2 = a1 * a1 + 4 * a2
-            b4 = 2 * a4 + a1 * a3
-            b6 = a3 * a3 + 4 * a6
-            b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4
-                  + a2 * a3 * a3 - a4 * a4)
+            b2, b4, b6, b8 = b_invariants(*self.coeffs)
             c4 = b2 * b2 - 24 * b4
             c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
             delta = (-(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6)
@@ -222,7 +257,10 @@ class Curve:
 
 @dataclass(frozen=True)
 class Transform:
-    """Change of Weierstrass coordinates x = u^2 x' + r, y = u^3 y' + s u^2 x' + w."""
+    """Change of Weierstrass coordinates x = u^2 x' + r, y = u^3 y' + s u^2 x' + w.
+
+    u, r, s and w are rational functions; Tate's algorithm holds them as
+    polynomials while it composes its moves with then."""
 
     u: RatFunc
     r: RatFunc
@@ -243,18 +281,9 @@ class Transform:
                 and self.s.is_zero() and self.w.is_zero())
 
     def apply(self, E: Curve) -> Curve:
-        u, r, s, w = self.u, self.r, self.s, self.w
-        a1, a2, a3, a4, a6 = E.coeffs
-        u2 = u * u
-        u3 = u2 * u
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u2
-        na3 = (a3 + r * a1 + 2 * w) / u3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r
-               - 2 * s * w) / (u2 * u2)
-        na6 = (a6 + r * a4 + r * r * a2 + r ** 3 - w * a3 - w * w
-               - r * w * a1) / (u3 * u3)
-        return Curve(E.field, na1, na2, na3, na4, na6, var=E.var)
+        a = translate(E.coeffs, self.r, self.s, self.w)
+        u = self.u
+        return Curve(E.field, *(ai / u ** i for i, ai in zip(WEIGHTS, a)), var=E.var)
 
     def apply_point(self, P: CurvePoint) -> CurvePoint:
         """Coordinates of P on the transformed model."""
@@ -288,6 +317,10 @@ class Transform:
             w1 + u1s * r2 * s1 + u1s * u1 * w2,
         )
 
+    def map(self, fn) -> "Transform":
+        """The transform with fn applied to each of u, r, s and w."""
+        return Transform(fn(self.u), fn(self.r), fn(self.s), fn(self.w))
+
     def inverse(self) -> "Transform":
         u, r, s, w = self.u, self.r, self.s, self.w
         iu = RatFunc.one(u.field) / u
@@ -315,7 +348,7 @@ def minimal_polynomial_model(E: Curve) -> tuple[Curve, Transform]:
     denominator e_pi < 0, so those are the primes factored; E itself is
     the model when u = 1."""
     field = E.field
-    cs = [(i, ai) for i, ai in zip((1, 2, 3, 4, 6), E.coeffs) if ai]
+    cs = [(i, ai) for i, ai in zip(WEIGHTS, E.coeffs) if ai]
     g = Poly.zero(field)
     for _, ai in cs:
         if g.degree != 0:
@@ -339,7 +372,7 @@ def classify(E: Curve) -> Classification:
     """Constant / isotrivial / height classification of a curve over F_q(t)."""
     model, tau = minimal_polynomial_model(E)
     h = 0
-    for i, ai in zip((1, 2, 3, 4, 6), model.coeffs):
+    for i, ai in zip(WEIGHTS, model.coeffs):
         if ai.is_zero():
             continue
         d = int(ai.num.degree)

@@ -27,6 +27,7 @@ from ffec.algebra import (
     places_up_to,
     poly_roots,
     reduce_at,
+    row_reduce,
     valuation,
 )
 
@@ -652,3 +653,29 @@ def test_format_is_canonical():
     f = Poly(F9, [F9.element([0, 1]), F9.zero, F9.one])
     assert format_poly(f) == "t^2+[0,1]"
     assert parse_poly(format_poly(f), F9) == f
+
+
+def _leibniz_det(A):
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= A[i][j]
+        total += term
+    return total
+
+
+def test_row_reduce_determinant_and_rank(rng):
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            A = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+            m, pivots, det = row_reduce(A)
+            assert det == _leibniz_det(A)
+            assert (len(pivots) == n) == (det != 0)
+            # the echelon form has its pivots at 1 and zeros above and below
+            for r, c in enumerate(pivots):
+                assert [row[c] for row in m] == [int(i == r) for i in range(n)]
+    m, pivots, _ = row_reduce([[1, 2, 3], [2, 4, 6]])
+    assert pivots == [0] and m == [[1, 2, 3], [0, 0, 0]]

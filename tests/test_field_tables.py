@@ -19,6 +19,7 @@ from ffec.algebra import (
     Place,
     Poly,
     field_create,
+    is_irreducible,
     iter_monic_irreducibles,
 )
 
@@ -199,6 +200,32 @@ def test_field_above_the_cap_stays_on_tuples(rng):
     assert F._table is None and all(x.log is None for x in sample)
     with pytest.raises(CapError):
         F.zech()
+
+
+def _above_the_cap_fields():
+    F2 = field_create(2)
+    m = [0] * 71
+    for i in (70, 24, 2, 1, 0):
+        m[i] = 1
+    assert is_irreducible(Poly(F2, m))
+    yield Fq(base=F2, modulus=tuple(Poly(F2, m).coeffs))  # F_{2^70}
+    yield _residue_field(field_create(3, 2), 6)  # F_{9^6}
+
+
+@pytest.mark.parametrize("F", list(_above_the_cap_fields()), ids=repr)
+def test_inverse_above_the_cap_matches_fermat(F, rng):
+    """Above the cap 1/x comes from extended Euclid; x^(q-2), by repeated
+    squaring, shares no code with it."""
+    assert F.q > PLACE_CAP
+    for _ in range(4):
+        x = F._make(rng.randrange(1, F.q))
+        inv = x.inverse()
+        assert x * inv is F.one
+        assert inv is x ** (F.q - 2)
+        assert x / x is F.one and inv.inverse() is x
+    assert F._table is None
+    with pytest.raises(ZeroDivisionError):
+        F.zero.inverse()
 
 
 def test_table_built_mid_use_changes_no_result(rng):

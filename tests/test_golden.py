@@ -1,6 +1,7 @@
 """Whole reports, byte for byte, against outputs recorded in tests/data.
 
-Each case runs `ffec` in-process and compares its stdout with
+Each case runs `ffec` in-process, checks its exit status (0 unless
+STATUS names another) and compares its stdout with
 tests/data/<case>.jsonl after masking what may differ between runs and
 machines: the `seconds` of the summary record, the Python version of the
 meta record, and the directory of the curve file in its command line.
@@ -36,7 +37,12 @@ CASES = {
     "analyze-additive-f5": ["analyze", "--curve", "additive-f5.curve"],
     "analyze-degree-two-place-f5": ["analyze", "--curve", "degree-two-place-f5.curve"],
     "analyze-non-minimal-f5": ["analyze", "--curve", "non-minimal-f5.curve"],
+    "tower-e7-swapped-f2-d101-cap": ["tower", "--curve", "e7-swapped-f2.curve",
+                                     "--d", "101"],
 }
+
+# exit statuses other than 0: a cap ends the report in an error record
+STATUS = {"tower-e7-swapped-f2-d101-cap": 1}
 
 
 def _masked(record: dict) -> dict:
@@ -49,12 +55,13 @@ def _masked(record: dict) -> dict:
     return record
 
 
-def report(argv) -> str:
-    """The masked stdout of `ffec argv`, with curve files read from DATA."""
+def report(argv, status=0) -> str:
+    """The masked stdout of `ffec argv`, with curve files read from DATA;
+    the command must exit with status."""
     argv = [str(DATA / a) if a.endswith(".curve") else a for a in argv]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == 0
+        assert cli.main(argv) == status
     return "".join(
         json.dumps(_masked(json.loads(line)), sort_keys=True, separators=(",", ":")) + "\n"
         for line in out.getvalue().splitlines())
@@ -63,7 +70,7 @@ def report(argv) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_recording(case):
     want = (DATA / f"{case}.jsonl").read_text(encoding="utf-8")
-    assert report(CASES[case]) == want
+    assert report(CASES[case], STATUS.get(case, 0)) == want
 
 
 if __name__ == "__main__":
@@ -72,5 +79,6 @@ if __name__ == "__main__":
     if unknown:
         sys.exit(f"unknown cases {unknown}; known: {sorted(CASES)}")
     for name in names:
-        (DATA / f"{name}.jsonl").write_text(report(CASES[name]), encoding="utf-8")
+        text = report(CASES[name], STATUS.get(name, 0))
+        (DATA / f"{name}.jsonl").write_text(text, encoding="utf-8")
         print(f"recorded {name}", file=sys.stderr)

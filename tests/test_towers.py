@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from ffec.algebra import FFECError, field_create, mult_order, parse_ratfunc
+from ffec.algebra import (CapError, FFECError, Place, Poly, field_create, mult_order,
+                          parse_ratfunc)
 from ffec.weierstrass import Curve, base_change_pow, extend_constants
 from ffec import catalog
 from ffec.lfunction import analytic_rank, l_polynomial
+from ffec.local import conductor
 from ffec.towers import (
     check_hypotheses,
     det_interpolated,
     divisibility,
     factor_degrees,
+    layer_degree_bound,
     lemma_det,
     lemma_la_verify,
     orbit_decomposition,
@@ -98,6 +101,37 @@ def test_tower_d1_identity():
 def test_tower_gcd_error():
     with pytest.raises(ValueError):
         tower_l(catalog.e7(F2), 2)
+
+
+@pytest.mark.parametrize("fam", [catalog.e7, catalog.e8, catalog.e9, catalog.first_example],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_layer_degree_bound_holds(fam, p, e):
+    """The bound is the layer's conductor degree away from u = 0 and
+    infinity, less 4, so at most N."""
+    F = field_create(p, e)
+    E = fam(F)
+    u0, inf = Place(F, Poly.x(F)), Place.infinite(F)
+    for d in (3, 5, 7, 9, 17):
+        if d % p:
+            cond = conductor(base_change_pow(E, d))
+            away = cond.deg - cond.exponent(u0) - cond.exponent(inf)
+            assert layer_degree_bound(E, d) == away - 4 <= cond.deg - 4
+
+
+def test_tower_caps_before_building_the_layer(monkeypatch):
+    import ffec.towers
+
+    def unbuilt(E, d):
+        raise AssertionError("the layer was built")
+
+    monkeypatch.setattr(ffec.towers, "base_change_pow", unbuilt)
+    # e7 over F_2 is bad at t + 1 with n = 1: the layer at d has N >= d - 4
+    with pytest.raises(CapError, match="places of degree 17: q_v = 131072"):
+        tower_l(catalog.e7(F2), 100001)
+    swapped = Curve(F2, a1="t", a3="1")
+    with pytest.raises(CapError, match="places of degree 17: q_v = 131072"):
+        tower_l(swapped, 101, use_mu_d=True)
 
 
 def test_tower_e7_fixtures():

@@ -12,12 +12,14 @@ from ffec.algebra import (
     factor_poly,
     field_create,
     format_ratfunc,
+    iter_monic_irreducibles,
 )
 from ffec.weierstrass import (
     Curve,
     CurvePoint,
     NotEllipticError,
     Transform,
+    b_invariants,
     base_change_pow,
     classify,
     constant_embedding,
@@ -28,11 +30,13 @@ from ffec.weierstrass import (
     hasse_invariant,
     minimal_polynomial_model,
     parse_curve_file,
+    translate,
 )
 from ffec.heights_points import legendre_family
 
 F2 = field_create(2)
 F3 = field_create(3)
+F4 = field_create(2, 2)
 F5 = field_create(5)
 F7 = field_create(7)
 
@@ -121,21 +125,73 @@ def test_transform_covariance(rng):
             assert i2.j == i1.j
 
 
-def test_transform_group(rng):
-    F = F5
-    E = catalog.e7(F)
+def _rand_transform(F, rng):
+    return Transform.make(
+        F, u=rand_rf(F, rng), r=rand_rf(F, rng, True),
+        s=rand_rf(F, rng, True), w=rand_rf(F, rng, True),
+    )
+
+
+def _apply_all_at_once(tau, E):
+    """The coefficients of tau.apply(E) from the closed formulas."""
+    u, r, s, w = tau.u, tau.r, tau.s, tau.w
+    a1, a2, a3, a4, a6 = E.coeffs
+    return (
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u ** 2,
+        (a3 + r * a1 + 2 * w) / u ** 3,
+        (a4 - s * a3 + 2 * r * a2 - (w + r * s) * a1 + 3 * r * r
+         - 2 * s * w) / u ** 4,
+        (a6 + r * a4 + r * r * a2 + r ** 3 - w * a3 - w * w
+         - r * w * a1) / u ** 6,
+    )
+
+
+ALGEBRA_FIELDS = [F2, F3, F4, F5, F7]
+
+
+def _dense_curve(F):
+    """A polynomial model with all five coefficients nonzero."""
+    return Curve(F, a1="t + 1", a2="t", a3="t^2", a4="t^3 + 1", a6="t^4 + t")
+
+
+@pytest.mark.parametrize("F", ALGEBRA_FIELDS, ids=repr)
+def test_translate_and_apply_match_closed_formulas(F, rng):
+    E = _dense_curve(F)
     for _ in range(6):
-        tau = Transform.make(
-            F, u=rand_rf(F, rng), r=rand_rf(F, rng, True),
-            s=rand_rf(F, rng, True), w=rand_rf(F, rng, True),
-        )
-        sigma = Transform.make(
-            F, u=rand_rf(F, rng), r=rand_rf(F, rng, True),
-            s=rand_rf(F, rng, True), w=rand_rf(F, rng, True),
-        )
-        assert tau.inverse().apply(tau.apply(E)) == E
-        assert tau.then(sigma).apply(E) == sigma.apply(tau.apply(E))
-        assert tau.then(tau.inverse()).is_identity()
+        tau = _rand_transform(F, rng)
+        assert tau.apply(E).coeffs == _apply_all_at_once(tau, E)
+        unit = Transform(RatFunc.one(F), tau.r, tau.s, tau.w)
+        assert translate(E.coeffs, tau.r, tau.s, tau.w) == _apply_all_at_once(unit, E)
+    # zero shifts are skipped, and leave the coefficients as they are
+    zero = RatFunc.zero(F)
+    assert translate(E.coeffs, zero, zero, zero) == E.coeffs
+
+
+def test_transform_group(rng):
+    for F in ALGEBRA_FIELDS:
+        E = catalog.e7(F)
+        for _ in range(6):
+            tau = _rand_transform(F, rng)
+            sigma = _rand_transform(F, rng)
+            assert tau.inverse().apply(tau.apply(E)) == E
+            assert tau.then(sigma).apply(E) == sigma.apply(tau.apply(E))
+            assert tau.then(tau.inverse()).is_identity()
+
+
+@pytest.mark.parametrize("F", ALGEBRA_FIELDS, ids=repr)
+def test_b_invariants_commute_with_reduction(F):
+    """b_invariants on residue-field elements agrees with the reduced
+    invariants of the curve, at every place of degree <= 2."""
+    E = _dense_curve(F)
+    inv = E.invariants()
+    places = [Place(F, g, _checked=True) for g in iter_monic_irreducibles(F, 1)]
+    places += [Place(F, g, _checked=True) for g in iter_monic_irreducibles(F, 2)][:4]
+    for v in places:
+        reduced = [v.reduce_poly(a.num) for a in E.coeffs]
+        want = tuple(v.reduce_poly(b.num) for b in (inv.b2, inv.b4, inv.b6, inv.b8))
+        assert b_invariants(*reduced) == want
+    assert b_invariants(*E.coeffs) == (inv.b2, inv.b4, inv.b6, inv.b8)
 
 
 def test_transform_point_map(rng):
