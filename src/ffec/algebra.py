@@ -777,20 +777,33 @@ class Poly:
         self.coeffs = tuple(cs)
 
     @staticmethod
+    def _of(field: Fq, cs) -> "Poly":
+        """The trusted constructor, for a list or tuple of elements of
+        `field` that arithmetic has just built: trailing zeros are dropped
+        and nothing else is checked."""
+        n, z = len(cs), field.zero
+        while n and cs[n - 1] is z:
+            n -= 1
+        f = object.__new__(Poly)
+        f.field = field
+        f.coeffs = tuple(cs[:n] if n < len(cs) else cs)
+        return f
+
+    @staticmethod
     def zero(field: Fq) -> "Poly":
-        return Poly(field, ())
+        return Poly._of(field, ())
 
     @staticmethod
     def one(field: Fq) -> "Poly":
-        return Poly(field, (field.one,))
+        return Poly._of(field, (field.one,))
 
     @staticmethod
     def x(field: Fq) -> "Poly":
-        return Poly(field, (field.zero, field.one))
+        return Poly._of(field, (field.zero, field.one))
 
     @staticmethod
     def const(c: FqElem) -> "Poly":
-        return Poly(c.field, (c,))
+        return Poly._of(c.field, (c,))
 
     @property
     def degree(self):
@@ -844,12 +857,12 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, tuple(-c for c in self.coeffs))
+        return Poly._of(self.field, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -874,14 +887,14 @@ class Poly:
             c = a[0]
             if c is self.field.one:
                 return o
-            return Poly(self.field, tuple(c * y for y in b))
+            return Poly._of(self.field, tuple(c * y for y in b))
         if len(b) == 1:
             c = b[0]
             if c is self.field.one:
                 return self
-            return Poly(self.field, tuple(x * c for x in a))
+            return Poly._of(self.field, tuple(x * c for x in a))
         if max(len(a), len(b)) >= _BIG:
-            return Poly(self.field, _array_mul(self.field, a, b))
+            return Poly._of(self.field, _array_mul(self.field, a, b))
         z = self.field.zero
         out = [z] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -889,7 +902,7 @@ class Poly:
                 for j, y in enumerate(b):
                     if y:
                         out[i + j] = out[i + j] + x * y
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     __rmul__ = __mul__
 
@@ -919,7 +932,7 @@ class Poly:
         # lookups, so a short divisor stays in the loop
         if len(self.coeffs) >= _BIG and len(o.coeffs) >= _BIG // 4:
             q, r = _array_divmod(self.field, self.coeffs, o.coeffs)
-            return Poly(self.field, q), Poly(self.field, r)
+            return Poly._of(self.field, q), Poly._of(self.field, r)
         inv = o.coeffs[-1].inverse()
         rem = list(self.coeffs)
         lo = len(o.coeffs)
@@ -932,7 +945,7 @@ class Poly:
                 for j in range(lo - 1):
                     rem[i + j] = rem[i + j] - f * o.coeffs[j]
                 rem[i + lo - 1] = self.field.zero
-        return Poly(self.field, quo), Poly(self.field, rem[: lo - 1])
+        return Poly._of(self.field, quo), Poly._of(self.field, rem[: lo - 1])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -953,20 +966,20 @@ class Poly:
         if c is self.field.one:
             return self
         inv = c.inverse()
-        return Poly(self.field, tuple(x * inv for x in self.coeffs))
+        return Poly._of(self.field, tuple(x * inv for x in self.coeffs))
 
     def gcd(self, other) -> "Poly":
         o = self._coerce(other)
         a, b = self, o
         if max(len(a.coeffs), len(b.coeffs)) >= _BIG:
-            return Poly(self.field, _array_gcd(self.field, a.coeffs, b.coeffs)).monic()
+            return Poly._of(self.field, _array_gcd(self.field, a.coeffs, b.coeffs)).monic()
         while b:
             a, b = b, a % b
         return a.monic()
 
     def derivative(self) -> "Poly":
         f = self.field
-        return Poly(f, tuple(f.scalar(k) * c for k, c in enumerate(self.coeffs) if k))
+        return Poly._of(f, tuple(f.scalar(k) * c for k, c in enumerate(self.coeffs) if k))
 
     def evaluate(self, x: FqElem) -> FqElem:
         acc = self.field.zero if self.field is x.field else x.field.zero
@@ -984,7 +997,7 @@ class Poly:
         out = [z] * ((len(self.coeffs) - 1) * d + 1)
         for i, c in enumerate(self.coeffs):
             out[i * d] = c
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     def scale_var(self, c: FqElem) -> "Poly":
         """Substitute t -> c*t."""
@@ -993,7 +1006,7 @@ class Poly:
         for a in self.coeffs:
             out.append(a * ck)
             ck = ck * c
-        return Poly(self.field, out)
+        return Poly._of(self.field, out)
 
     def reverse(self, n: int) -> "Poly":
         """Coefficients reversed relative to fixed length n+1, so that
@@ -1001,13 +1014,13 @@ class Poly:
         if self.degree > n:
             raise ValueError("reversal length too small")
         cs = list(self.coeffs) + [self.field.zero] * (n + 1 - len(self.coeffs))
-        return Poly(self.field, tuple(reversed(cs)))
+        return Poly._of(self.field, tuple(reversed(cs)))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by t^k."""
         if not self.coeffs or k == 0:
             return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
+        return Poly._of(self.field, (self.field.zero,) * k + self.coeffs)
 
     def map_coeffs(self, fn, field: Fq | None = None) -> "Poly":
         return Poly(field or self.field, tuple(fn(c) for c in self.coeffs))
@@ -1146,7 +1159,7 @@ _cz_rng = random.Random(0xFFEC)
 
 def _random_poly(field: Fq, deg: int, rng) -> Poly:
     # random polynomial of degree < deg + 1: a random code per coefficient
-    return Poly(field, [field._make(rng.randrange(field.q)) for _ in range(deg + 1)])
+    return Poly._of(field, [field._make(rng.randrange(field.q)) for _ in range(deg + 1)])
 
 
 def _equal_degree_split(f: Poly, d: int, rng) -> list[Poly]:
@@ -1190,7 +1203,7 @@ def _poly_pth_root(f: Poly) -> Poly:
     """The p-th root of a polynomial of the form g(t^p)."""
     field = f.field
     p = field.p
-    return Poly(field, [field.pth_root(f[i * p]) for i in range(int(f.degree) // p + 1)])
+    return Poly._of(field, [field.pth_root(f[i * p]) for i in range(int(f.degree) // p + 1)])
 
 
 def _squarefree_decompose(f: Poly) -> dict[Poly, int]:

@@ -260,14 +260,11 @@ def tower_l(E: Curve, d: int, use_mu_d: bool = False) -> LPoly:
 
 def factor_degrees(L: LPoly):
     """Degrees (with multiplicity) of the irreducible rational factors.
-    sympy is imported here, its only use, so loading ffec does not pay
-    for it."""
-    import sympy
+    Only the scans read them, so zfactor is imported here and the other
+    commands do not load it."""
+    from .zfactor import factor_z
 
-    T = sympy.symbols("T")
-    poly = sympy.Poly(sum(c * T ** i for i, c in enumerate(L.coeffs)), T)
-    _, fl = poly.factor_list()
-    return sorted((int(sympy.degree(f, T)), int(m)) for f, m in fl)
+    return sorted((len(g) - 1, e) for g, e in factor_z(L.coeffs)[1])
 
 
 def rank_growth_scan(E: Curve, n_max: int) -> dict:

@@ -235,13 +235,28 @@ def test_analyze_runs_one_analysis(tmp_path, capsys, monkeypatch):
 
 
 def test_import_leaves_sympy_out():
+    """No command imports sympy: with every import of it made to fail, the
+    scan still matches its recording and the other commands exit 0."""
     src = os.path.dirname(os.path.dirname(ffec.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ffec, ffec.cli; print('sympy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    script = f"""
+import sys
+import ffec, ffec.cli
+assert "sympy" not in sys.modules
+sys.modules["sympy"] = None
+sys.path.insert(0, {tests!r})
+from test_golden import report
+print(report(["tower", "--curve", "e9-f2.curve", "--scan", "2"]), end="")
+report(["tower", "--curve", "e7-f2.curve", "--d", "9", "--mu"])
+report(["analyze", "--curve", "e7-f2.curve"])
+report(["points", "--p", "3"])
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    want = (pathlib.Path(tests) / "data" / "tower-e9-f2-scan2.jsonl").read_text(encoding="utf-8")
+    assert out.stdout == want
 
 
 def test_python_m_ffec():
