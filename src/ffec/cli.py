@@ -119,12 +119,11 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
     em.record("classification", q=E.field.q, var=E.var, curve=repr(E),
               constant=cls.constant, isotrivial=cls.isotrivial,
               height=cls.height)
-    inv = E.invariants()
     em.record("invariants",
-              c4=format_ratfunc(inv.c4, E.var),
-              c6=format_ratfunc(inv.c6, E.var),
-              delta=format_ratfunc(inv.delta, E.var),
-              j=format_ratfunc(inv.j, E.var))
+              c4=format_ratfunc(cls.c4, E.var),
+              c6=format_ratfunc(cls.c6, E.var),
+              delta=format_ratfunc(E.delta, E.var),
+              j=format_ratfunc(cls.j, E.var))
     if cls.constant:
         a = constant_trace(E)
         C = constant_l(a, E.field.q)

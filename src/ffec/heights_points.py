@@ -41,7 +41,7 @@ from .algebra import (
     row_reduce,
 )
 from .local import LocalData, curve_analysis, torsion_bound
-from .weierstrass import Curve, CurvePoint, Transform
+from .weierstrass import Curve, CurvePoint, Transform, b_invariants
 
 
 class TorsionInconclusive(FFECError):
@@ -192,9 +192,8 @@ class _CurveHeights:
 def _curve_heights(E: Curve) -> _CurveHeights:
     A = curve_analysis(E)
     M, tau = A.cls.model, A.cls.transform
-    inv = M.invariants()
-    coeffs = tuple(c.num for c in (M.a1, M.a2, M.a3, M.a4,
-                                   inv.b2, inv.b4, inv.b6, inv.b8))
+    a = tuple(c.num for c in M.coeffs)
+    coeffs = a[:4] + b_invariants(*a)
     return _CurveHeights(None if tau.is_identity() else tau, coeffs,
                          tuple(_Local(ld, A.cls.height) for ld in A.local))
 

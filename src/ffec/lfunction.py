@@ -22,9 +22,11 @@ model's coefficients are evaluated at the least element of each orbit in
 exponent arithmetic and its points counted over K.  For each degree, the
 good orbits plus the bad places must number place_count(q, d), which
 cross-checks the evaluation against the factored discriminant.  A degree
-with q^d above PLACE_CAP raises CapError before its points are counted, and
+with q^d above PLACE_CAP raises CapError before its points are counted:
 before any point is counted if the expansion must reach it
-(q^(N//2 + 1) > PLACE_CAP).
+(q^(N//2 + 1) > PLACE_CAP), and before degree N//2 + 1 is counted if the
+c_0 .. c_{N//2} already counted put eps out of reach (eps needs degree
+N - k for the largest k <= N//2 with c_k != 0).
 
 Constant curves have a closed-form rational L-function instead (constant_l)
 and an independent per-degree Euler product (constant_euler_series) used to
@@ -240,7 +242,7 @@ def _good_counts(M: Curve, d: int):
     zt = K.zech()
     Z, exp, zero = zt.zech, zt.exp, K.zero
     terms = [_log_coeffs(r.num, K) for r in M.coeffs]
-    dterms = _log_coeffs(M.invariants().delta.num, K)
+    dterms = _log_coeffs(M.delta.num, K)
     for k in _place_orbits(F.q, d):
         if _log_eval(dterms, k, qv - 1, Z) is None:
             continue
@@ -285,7 +287,10 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
 
     Expands the Euler product one degree d at a time, which makes
     c_0 .. c_d exact, until _fe_sign settles eps (from d = N//2 + 1 on),
-    then fills c_{d+1} .. c_N from the functional equation.  Places
+    then fills c_{d+1} .. c_N from the functional equation.  eps cannot
+    settle before degree N - k for the largest k <= N//2 with c_k != 0, so
+    when that degree is above the cap, CapError is raised once c_0 ..
+    c_{N//2} are known, before degree N//2 + 1 is counted.  Places
     dividing the discriminant, and infinity, take their factors from
     curve_analysis; the good places of degree d are the Frobenius orbits of
     the shared degree-d field, counted as the module docstring describes.
@@ -327,6 +332,10 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
     d = 0
     while eps is None:
         d += 1
+        if d == N // 2 + 1:
+            # c_0 .. c_{N//2} are exact, and eps needs c_{N-k} for the
+            # largest k <= N//2 with c_k != 0
+            _check_cap(q, N, N - max(k for k in range(d) if series[k]))
         _check_cap(q, N, d)
         qv = q ** d
         good = 0
@@ -448,42 +457,6 @@ def check_functional_equation(L: LPoly) -> int:
     raise FFECError("functional equation fails for both signs")
 
 
-def _squarefree_part(coeffs):
-    """The squarefree part of an integer polynomial, via gcd with the
-    derivative over the rationals.  Multiple roots would wreck the accuracy
-    of the numerical root finder, so they are stripped exactly first."""
-
-    def normalize(p):
-        while p and p[-1] == 0:
-            p = p[:-1]
-        return [Fraction(c) for c in p]
-
-    def polymod(a, b):
-        a = a[:]
-        while len(a) >= len(b) and a:
-            c = a[-1] / b[-1]
-            off = len(a) - len(b)
-            for i in range(len(b)):
-                a[off + i] -= c * b[i]
-            a = normalize(a)
-        return a
-
-    a = normalize(list(coeffs))
-    b = normalize([i * c for i, c in enumerate(coeffs)][1:])
-    while b:
-        a, b = b, polymod(a, b)
-    # a is the gcd; divide it out
-    quo, rem = [], normalize(list(coeffs))
-    out = [Fraction(0)] * (len(rem) - len(a) + 1)
-    while len(rem) >= len(a) and rem:
-        c = rem[-1] / a[-1]
-        out[len(rem) - len(a)] = c
-        for i in range(len(a)):
-            rem[len(rem) - len(a) + i] -= c * a[i]
-        rem = normalize(rem)
-    return out
-
-
 # relative tolerance of the root-size check
 RH_TOL = 1e-9
 
@@ -491,11 +464,16 @@ RH_TOL = 1e-9
 def check_rh(L: LPoly) -> bool:
     """Whether every inverse root of L has absolute value q within RH_TOL*q.
 
-    Roots come from the companion matrix of the exact squarefree part, so
-    repeated factors such as (1 - qT)^N do not degrade the accuracy."""
+    Roots come from the companion matrix of the exact squarefree part, the
+    product of zfactor's squarefree parts, so repeated factors such as
+    (1 - qT)^N do not degrade the accuracy.  zfactor is imported here, as
+    towers.factor_degrees does, so importing ffec does not load it."""
+    from .zfactor import _mul, _primitive, _squarefree_parts, _trim
+
     if L.N == 0:
         return True
-    sq = _squarefree_part(L.coeffs)
+    parts = _squarefree_parts(_primitive(_trim(list(L.coeffs))))
+    sq = functools.reduce(_mul, (g for g, _ in parts))
     roots = np.roots([float(c) for c in reversed(sq)])
     return bool(max(abs(abs(1.0 / r) - L.q) for r in roots) <= RH_TOL * L.q)
 

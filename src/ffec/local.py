@@ -4,16 +4,17 @@ component counts, fiber point counts, and torsion bounds.
 The core is Tate's algorithm, run verbatim in every characteristic on the
 five coefficients as polynomials integral at the place: scaled by the least
 pi^k that makes them integral and cleared of the denominators left, which
-are prime to pi (at infinity, reversed in s = 1/t and run at s = 0).
-v(Delta) is read once from the curve and drops by 12 at each non-minimal
-step.  The Weierstrass algebra is weierstrass's: each move is
-weierstrass.translate on the coefficients, composed into one Transform of
-polynomials by Transform.then and pulled back from the s-chart at infinity
-at the end, and the b6 and b8 tests read weierstrass.b_invariants.  Every
-residue test (splitness of tangent cones, the roots of the auxiliary
-quadratics and cubic) reads the roots that algebra.poly_roots finds over the
-residue field, which keeps the characteristic-2 and -3 paths on the same
-code as the generic case.
+are prime to pi, by weierstrass.clear_denominators, the rule Curve clears
+its own coefficients by for its discriminant (at infinity, reversed in
+s = 1/t and run at s = 0).  v(Delta) is read once from the curve's delta
+and drops by 12 at each non-minimal step.  The Weierstrass algebra is
+weierstrass's: each move is weierstrass.translate on the coefficients,
+composed into one Transform of polynomials by Transform.then and pulled
+back from the s-chart at infinity at the end, and the b6 and b8 tests read
+weierstrass.b_invariants.  Every residue test (splitness of tangent cones,
+the roots of the auxiliary quadratics and cubic) reads the roots that
+algebra.poly_roots finds over the residue field, which keeps the
+characteristic-2 and -3 paths on the same code as the generic case.
 
 curve_analysis runs it once per curve, at infinity and at the factors of
 the discriminant of the polynomial minimal model; the bad places, the
@@ -41,7 +42,7 @@ from .algebra import (
     poly_roots,
 )
 from .weierstrass import (WEIGHTS, Classification, Curve, Transform, b_invariants,
-                          classify, translate)
+                          classify, clear_denominators, translate)
 
 
 class UndefinedRowError(FFECError):
@@ -206,14 +207,8 @@ def _integral_coeffs(E: Curve, v: Place, pi: Poly):
         k = max(-(-mi // i) for i, mi in zip(WEIGHTS, m))
         parts = [(a.num * pi ** (i * k - mi), a.den.exact_div(pi ** mi) if mi else a.den)
                  for i, a, mi in zip(WEIGHTS, cs, m)]
-    D = Poly.one(E.field)
-    for _, den in parts:
-        if den.degree > 0:
-            D = (D * den.exact_div(D.gcd(den))).monic()
-    if not D.degree:
-        return [num for num, _ in parts], k, D
-    return ([num * D.exact_div(den) * D ** (i - 1)
-             for i, (num, den) in zip(WEIGHTS, parts)], k, D)
+    a, D = clear_denominators(parts)
+    return a, k, D
 
 
 @functools.lru_cache(maxsize=4096)
@@ -227,7 +222,7 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
     at = Place(F, Poly.x(F), _checked=True) if v.is_infinite else v
     pi, K = at.poly, at.residue_field()
     a, k, D = _integral_coeffs(E, v, pi)
-    vd = v.valuation(E.invariants().delta) + 12 * k
+    vd = v.valuation(E.delta) + 12 * k
     one, zero = Poly.one(F), Poly.zero(F)
     tau = Transform(one, zero, zero, zero)  # the moves after the scaling
 
@@ -395,7 +390,7 @@ def curve_analysis(E: Curve) -> CurveAnalysis:
     cls = classify(E)
     M = cls.model
     F = E.field
-    _, fac = factor_poly(M.invariants().delta.num)
+    _, fac = factor_poly(M.delta.num)
     places = [Place.infinite(F)] + [Place(F, g, _checked=True) for g, _ in fac]
     local = tuple(tate_type(M, v) for v in places)
     bad = tuple(ld for ld in local if ld.n_v > 0)

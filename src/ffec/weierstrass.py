@@ -2,15 +2,18 @@
 the group law, and the basic classification (constant / isotrivial / height).
 
 The Weierstrass algebra is written once, for coefficients in any ring:
-WEIGHTS, b_invariants and translate (the change of coordinates with u = 1)
-serve Curve, Transform and Tate's algorithm in local alike, whether the
-coefficients are rational functions, polynomials or residue-field elements.
-Residue tests go through algebra.poly_roots.
+WEIGHTS, b_invariants, c_invariants, discriminant and translate (the change
+of coordinates with u = 1) serve Curve, Transform, classify and Tate's
+algorithm in local alike, whether the coefficients are rational functions,
+polynomials or residue-field elements.  A Curve is its five coefficients
+and its discriminant, computed once on the coefficients cleared of their
+denominators (clear_denominators, which local uses too); c4, c6 and j are
+computed once, by classify, for the curve's one analysis.  Residue tests go
+through algebra.poly_roots.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +64,33 @@ def b_invariants(a1, a2, a3, a4, a6):
             a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4)
 
 
+def c_invariants(a1, a2, a3, a4, a6):
+    """(c4, c6) of the coefficients, in any ring they live in."""
+    b2, b4, b6, _ = b_invariants(a1, a2, a3, a4, a6)
+    return b2 * b2 - 24 * b4, -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+
+
+def discriminant(a1, a2, a3, a4, a6):
+    """The discriminant of the coefficients, in any ring they live in."""
+    b2, b4, b6, b8 = b_invariants(a1, a2, a3, a4, a6)
+    return -(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6) + 9 * b2 * b4 * b6
+
+
+def clear_denominators(parts):
+    """(a, D) for the fractions num_i / den_i of weights 1, 2, 3, 4, 6
+    given as parts = [(num_i, den_i)]: D is the monic lcm of the den_i and
+    a_i = num_i / den_i * D^i, a polynomial.  When every den_i is 1, D = 1,
+    the a_i are the num_i and no gcd is taken."""
+    D = Poly.one(parts[0][0].field)
+    for _, den in parts:
+        if den.degree > 0:
+            D = (D * den.exact_div(D.gcd(den))).monic()
+    if not D.degree:
+        return [num for num, _ in parts], D
+    return ([num * D.exact_div(den) * D ** (i - 1)
+             for i, (num, den) in zip(WEIGHTS, parts)], D)
+
+
 def translate(a, r, s, w):
     """The coefficients a = (a1, a2, a3, a4, a6) after x = x' + r, then
     y = y' + s x', then y = y' + w: the change of coordinates with u = 1,
@@ -81,22 +111,6 @@ def translate(a, r, s, w):
         a4 = a4 - w * a1
         a3 = a3 + 2 * w
     return a1, a2, a3, a4, a6
-
-
-@dataclass(frozen=True)
-class Invariants:
-    b2: RatFunc
-    b4: RatFunc
-    b6: RatFunc
-    b8: RatFunc
-    c4: RatFunc
-    c6: RatFunc
-    delta: RatFunc
-
-    @functools.cached_property
-    def j(self) -> RatFunc:
-        """c4^3 / delta, the one invariant that takes a gcd, on first use."""
-        return self.c4 ** 3 / self.delta
 
 
 class CurvePoint:
@@ -185,9 +199,11 @@ def ws_scalar_mul(a, n: int, P: CurvePoint) -> CurvePoint:
 
 class Curve:
     """An elliptic curve y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over
-    F_q(t), with exact rational-function coefficients."""
+    F_q(t), with exact rational-function coefficients and its discriminant
+    delta.  delta is computed on the coefficients cleared of their
+    denominators: with D their lcm, delta = discriminant(a_i D^i) / D^12."""
 
-    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "var", "_inv")
+    __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "var", "delta")
 
     def __init__(self, field: Fq, a1=0, a2=0, a3=0, a4=0, a6=0, var: str = "t"):
         self.field = field
@@ -197,23 +213,15 @@ class Curve:
         self.a4 = _as_ratfunc(field, a4)
         self.a6 = _as_ratfunc(field, a6)
         self.var = var
-        self._inv = None
-        if not self.invariants().delta:
+        a, D = clear_denominators([(c.num, c.den) for c in self.coeffs])
+        delta = discriminant(*a)
+        if not delta:
             raise NotEllipticError("discriminant is zero: not an elliptic curve")
+        self.delta = RatFunc(delta, D ** 12)
 
     @property
     def coeffs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    def invariants(self) -> Invariants:
-        if self._inv is None:
-            b2, b4, b6, b8 = b_invariants(*self.coeffs)
-            c4 = b2 * b2 - 24 * b4
-            c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
-            delta = (-(b2 * b2 * b8) - 8 * (b4 ** 3) - 27 * (b6 * b6)
-                     + 9 * b2 * b4 * b6)
-            self._inv = Invariants(b2, b4, b6, b8, c4, c6, delta)
-        return self._inv
 
     def __eq__(self, other):
         if not isinstance(other, Curve):
@@ -336,6 +344,8 @@ class Classification:
     isotrivial: bool
     constant: bool
     height: int
+    c4: RatFunc
+    c6: RatFunc
     j: RatFunc
     model: Curve
     transform: Transform
@@ -377,11 +387,14 @@ def classify(E: Curve) -> Classification:
             continue
         d = int(ai.num.degree)
         h = max(h, -(-d // i))
-    j = E.invariants().j
+    c4, c6 = c_invariants(*E.coeffs)
+    j = c4 ** 3 / E.delta
     return Classification(
         isotrivial=j.is_constant(),
         constant=h == 0,
         height=h,
+        c4=c4,
+        c6=c6,
         j=j,
         model=model,
         transform=tau,
@@ -452,11 +465,11 @@ def hasse_invariant(E: Curve) -> RatFunc:
     p = E.field.p
     if p == 2:
         return E.a1
-    inv = E.invariants()
+    b2, b4, b6, _ = b_invariants(*E.coeffs)
     # complete the square: eta^2 = x^3 + (b2/4) x^2 + (b4/2) x + b6/4
     quarter = RatFunc.from_const(E.field.scalar(4).inverse())
     half = RatFunc.from_const(E.field.scalar(2).inverse())
-    f = [inv.b6 * quarter, inv.b4 * half, inv.b2 * quarter, RatFunc.one(E.field)]
+    f = [b6 * quarter, b4 * half, b2 * quarter, RatFunc.one(E.field)]
     n = (p - 1) // 2
     acc = [RatFunc.one(E.field)]
     for _ in range(n):

@@ -147,7 +147,7 @@ def _l4_delta(F, a):
 def test_l4_discriminant(p, a):
     F = field_create(p)
     E = berger_catalog("berger-L4", F, a)
-    disc = E.invariants().delta
+    disc = E.delta
     assert disc.den.degree == 0
     assert disc.num == _l4_delta(F, a)
 
@@ -167,7 +167,7 @@ def test_catalog_dispatch():
     F = field_create(7)
     E = berger_catalog("berger-L4", F, 3)
     assert E.field.q == 7
-    assert not berger_catalog("first-example", field_create(3)).invariants().delta.num.is_zero()
+    assert not berger_catalog("first-example", field_create(3)).delta.num.is_zero()
     with pytest.raises(ValueError, match="parameter"):
         berger_catalog("berger-L4", F)
     with pytest.raises(ValueError, match="no parameter"):

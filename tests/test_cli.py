@@ -210,7 +210,7 @@ def test_analyze_runs_one_analysis(tmp_path, capsys, monkeypatch):
     E = base_change_pow(e7(field_create(2)), 5)
     f = tmp_path / "e7u5.curve"
     f.write_text(format_curve_file(E))
-    delta = weierstrass.minimal_polynomial_model(E)[0].invariants().delta.num
+    delta = weierstrass.minimal_polynomial_model(E)[0].delta.num
     seen = collections.defaultdict(list)
 
     def spy(module, name):
@@ -257,6 +257,17 @@ report(["points", "--p", "3"])
     assert out.returncode == 0, out.stderr
     want = (pathlib.Path(tests) / "data" / "tower-e9-f2-scan2.jsonl").read_text(encoding="utf-8")
     assert out.stdout == want
+
+
+def test_import_leaves_zfactor_out():
+    """zfactor is imported where a factorization or an RH check runs, so
+    importing ffec and its command line does not load it."""
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, ffec, ffec.cli\nassert 'ffec.zfactor' not in sys.modules\n"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_python_m_ffec():

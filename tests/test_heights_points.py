@@ -17,6 +17,7 @@ from ffec.weierstrass import (
     Curve,
     CurvePoint,
     Transform,
+    b_invariants,
     minimal_polynomial_model,
     parse_curve_file,
 )
@@ -58,8 +59,7 @@ def doubling_height(E, P, n_iter=6):
         raise ValueError("need at least one doubling")
     M, tau = minimal_polynomial_model(E)
     Q = tau.apply_point(P)
-    inv = M.invariants()
-    b2, b4, b6, b8 = (r.num for r in (inv.b2, inv.b4, inv.b6, inv.b8))
+    b2, b4, b6, b8 = b_invariants(*(r.num for r in M.coeffs))
     two = M.field.scalar(2)
     four = M.field.scalar(4)
     X, Z = Q.x.num, Q.x.den

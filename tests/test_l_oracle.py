@@ -43,7 +43,7 @@ def _height(polys) -> int:
 
 def _minimal_everywhere(E: Curve) -> bool:
     """The certificate: v(Delta) < 12 at every finite place and at infinity."""
-    delta = E.invariants().delta.num
+    delta = E.delta.num
     if not delta:
         return False
     h = _height([a.num for a in E.coeffs])

@@ -273,7 +273,7 @@ def _reference_series(E, order):
     points there; places dividing the discriminant, and infinity, take
     their factor from Tate's algorithm."""
     M, _ = minimal_polynomial_model(E)
-    delta = M.invariants().delta.num
+    delta = M.delta.num
     series = [1] + [0] * order
     for v in places_up_to(E.field, order):
         if v.is_infinite or (delta % v.poly).is_zero():
@@ -385,6 +385,22 @@ def test_place_cap_before_counting(monkeypatch):
         l_polynomial(crit2_curve())
 
 
+def test_place_cap_before_futile_counting(monkeypatch):
+    # e7 at t = u^11 over F_2 has N = 10 and c_1 .. c_5 = 0, so eps needs
+    # degree 10: above a cap of 2^7, known once degrees 1 .. 5 are counted
+    monkeypatch.setattr(lfunction, "PLACE_CAP", 2 ** 7)
+    fields = []
+
+    def spy(K, *cs):
+        fields.append(K.q)
+        return count_ws_points(K, *cs)
+
+    monkeypatch.setattr(lfunction, "count_ws_points", spy)
+    with pytest.raises(CapError, match="degree 8: q_v = 256"):
+        l_polynomial(base_change_pow(catalog.e7(F2), 11))
+    assert fields and 2 ** 6 not in fields and max(fields) == 2 ** 5
+
+
 @pytest.mark.parametrize("F", [F2, F3, field_create(2, 2), F5], ids=repr)
 def test_good_counts_match_places(F, rng):
     # the orbit counts of each degree against the good places of
@@ -395,7 +411,7 @@ def test_good_counts_match_places(F, rng):
     places = places_up_to(F, 3)[1:]
     for E in curves:
         M, _ = minimal_polynomial_model(E)
-        delta = M.invariants().delta.num
+        delta = M.delta.num
         for d in range(1, 4):
             want = sorted(
                 count_ws_points(v.residue_field(), *(reduce_at(r, v) for r in M.coeffs))
