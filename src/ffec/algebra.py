@@ -318,7 +318,6 @@ class Fq:
         self._intern: dict = {}
         self._gen_cache = None
         self._table = None
-        self._basis_tr = None
         self._tensor = None
         if base is None:
             if p is None or not _is_prime_int(p):
@@ -517,19 +516,21 @@ class Fq:
         return self._tensor
 
     def absolute_trace(self, x: FqElem) -> int:
-        """Trace down to F_p, returned as an integer in [0, p)."""
-        if self._basis_tr is None:
-            trs = []
-            for b in self._basis():
-                s = self.zero
-                y = b
-                for _ in range(self.e):
-                    s = s + y
-                    y = y ** self.p
-                trs.append(self._prime_int(s))
-            self._basis_tr = trs
-        flat = self._flatten(x)
-        return sum(c * tr for c, tr in zip(flat, self._basis_tr)) % self.p
+        """Trace down to F_p, returned as an integer in [0, p): the sum of
+        the conjugates x^(p^j), j < e, by e - 1 Frobenius steps on x.  It
+        works on codes and never reads the field's table, so it checks
+        ZechTable.tracebit."""
+        s = y = x.val
+        for _ in range(self.e - 1):
+            # y = y^p by square-and-multiply
+            b, n, y = y, self.p, 1
+            while n:
+                if n & 1:
+                    y = self._vmul(y, b)
+                b = self._vmul(b, b)
+                n >>= 1
+            s = self._vadd(s, y)
+        return self._prime_int(self._make(s))
 
     def _prime_int(self, x: FqElem) -> int:
         if x.val >= self.p:

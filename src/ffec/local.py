@@ -11,10 +11,14 @@ and drops by 12 at each non-minimal step.  The Weierstrass algebra is
 weierstrass's: each move is weierstrass.translate on the coefficients,
 composed into one Transform of polynomials by Transform.then and pulled
 back from the s-chart at infinity at the end, and the b6 and b8 tests read
-weierstrass.b_invariants.  Every residue test (splitness of tangent cones,
-the roots of the auxiliary quadratics and cubic) reads the roots that
-algebra.poly_roots finds over the residue field, which keeps the
-characteristic-2 and -3 paths on the same code as the generic case.
+weierstrass.b_invariants.  Every residue question is a quadratic or a cubic
+over the residue field, answered in a few field operations with no
+factoring: a quadratic by its discriminant for odd p and by the
+Artin-Schreier trace for p = 2 (_quad_verdict), the multiple root of a
+cubic (the singular point, the I0* cubic) from gcd(f, f'), and the number
+of roots of a separable I0* cubic as deg gcd(f, Y^q - Y).  At an I_n fiber
+only the residues are moved to the singular point; the polynomials move on
+the additive path.
 
 curve_analysis runs it once per curve, at infinity and at the factors of
 the discriminant of the polynomial minimal model; the bad places, the
@@ -39,7 +43,7 @@ from .algebra import (
     RatFunc,
     count_ws_points,
     factor_poly,
-    poly_roots,
+    pow_mod,
 )
 from .weierstrass import (WEIGHTS, Classification, Curve, Transform, b_invariants,
                           classify, clear_denominators, translate)
@@ -159,12 +163,53 @@ class Conductor:
 
 
 def _quad_verdict(K, c2, c1, c0):
-    """(split, root) from the roots of c2*Y^2 + c1*Y + c0 over K: whether a
-    separable quadratic splits, with root None, or (None, the double root)."""
-    roots = poly_roots(Poly(K, [c0, c1, c2]))
-    if roots and roots[0][1] == 2:
-        return None, roots[0][0]
-    return len(roots) == 2, None
+    """(split, root) for c2*Y^2 + c1*Y + c0 over K, c2 != 0: whether a
+    separable quadratic splits, with root None, or (None, the double root).
+
+    For odd p the discriminant decides: zero, a square (log parity in a
+    field with a table, Euler's criterion above it) or not.  For p = 2 the
+    root is double iff c1 = 0, and otherwise Y^2 + Y + c0 c2 / c1^2 splits
+    iff that constant has trace 0 (Lidl-Niederreiter, Thm 2.25)."""
+    if K.p != 2:
+        disc = c1 * c1 - 4 * c0 * c2
+        if not disc:
+            return None, -c1 / (2 * c2)
+        if disc.log is not None:
+            return disc.log % 2 == 0, None
+        return disc ** ((K.q - 1) // 2) is K.one, None
+    if not c1:
+        return None, K.sqrt(c0 / c2)
+    x = c0 * c2 / (c1 * c1)
+    if x.log is not None:
+        return K.zech().tracebit[x.log] == 0, None
+    # Tr(x) = x + x^2 + ... + x^(2^(e-1)), 0 or 1 in F_2
+    tr, y = x, x
+    for _ in range(K.e - 1):
+        y = y * y
+        tr = tr + y
+    return not tr, None
+
+
+def _cubic_multiple_root(K, f: Poly):
+    """(mult, root) for the monic cubic f over K: the largest multiplicity
+    of a root of f and a root with it, or (1, None) when f is squarefree.
+    Both are read off g = gcd(f, f')."""
+    g = f.gcd(f.derivative())
+    if g.degree == 0:
+        return 1, None
+    if g.degree == 1:
+        # f = (Y - r)^2 (Y - s), r != s, p odd
+        return 2, -g[0]
+    if g.degree == 3:
+        # p = 3 and f' = 0: f = Y^3 - r^3
+        return 3, K.pth_root(-f[0])
+    if K.p == 2:
+        # f' = (Y + r)^2 whether f = (Y + r)^2 (Y + s) or (Y + r)^3, and
+        # f[2] = s
+        r = K.sqrt(g[0])
+        return (3 if f[2] is r else 2), r
+    # f = (Y - r)^3 and g = (Y - r)^2
+    return 3, -g[1] / 2
 
 
 def _singular_point(K, a1, a2, a3, a4, a6):
@@ -174,9 +219,9 @@ def _singular_point(K, a1, a2, a3, a4, a6):
         half = K.scalar(2).inverse()
         quarter = half * half
         b2, b4, b6, _ = b_invariants(a1, a2, a3, a4, a6)
-        cubic = Poly(K, [b6 * quarter, b4 * half, b2 * quarter, K.one])
-        x0 = next((r for r, mult in poly_roots(cubic) if mult >= 2), None)
-        if x0 is None:
+        mult, x0 = _cubic_multiple_root(
+            K, Poly._of(K, (b6 * quarter, b4 * half, b2 * quarter, K.one)))
+        if mult == 1:
             raise FFECError("no singular point on a singular fiber")
         y0 = -(a1 * x0 + a3) * half
     else:
@@ -187,6 +232,12 @@ def _singular_point(K, a1, a2, a3, a4, a6):
             x0 = K.sqrt(a4)
             y0 = K.sqrt(x0 * x0 * x0 + a2 * x0 * x0 + a4 * x0 + a6)
     return x0, y0
+
+
+def _root_count(K, f: Poly) -> int:
+    """The number of roots in K of the squarefree f: deg gcd(f, Y^q - Y)."""
+    Y = Poly.x(K)
+    return (pow_mod(Y, K.q, f) - Y).gcd(f).degree
 
 
 def _integral_coeffs(E: Curve, v: Place, pi: Poly):
@@ -262,17 +313,20 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
                     raise FFECError("point count violates the Hasse bound")
             return finish(KodairaType("I", 0), 1, None, a_v)
 
-        x0, y0 = _singular_point(K, *(red(x) for x in a))
-        if x0 or y0:
-            move(r=at.lift(x0), w=at.lift(y0))
-        # a3, a4 and a6 now vanish at v: the singular point is (0, 0)
-        r1, r2 = red(a[0]), red(a[1])
-
+        res = [red(x) for x in a]
+        x0, y0 = _singular_point(K, *res)
+        # moved to the singular point, a3, a4 and a6 vanish at v; the
+        # tangent cone at (0, 0) reads only the residues of a1 and a2
+        r1, r2 = translate(res, x0, K.zero, y0)[:2]
         if b_invariants(r1, r2, K.zero, K.zero, K.zero)[0]:
             # v(b2) = 0, nodal with distinct tangent slopes: I_n
+            if x0 or y0:
+                tau = tau.then(Transform(one, at.lift(x0), zero, at.lift(y0)))
             split = _quad_verdict(K, K.one, r1, -r2)[0]
             f = vd if split else vd // 2 + 1
             return finish(KodairaType("I", vd), f, split, 1 if split else -1)
+        if x0 or y0:
+            move(r=at.lift(x0), w=at.lift(y0))
         if below(a[4], 2):
             return finish(KodairaType("II"), 1, None, 0)
         _, _, b6, b8 = b_invariants(*a)
@@ -297,11 +351,11 @@ def _tate_local(E: Curve, v: Place) -> LocalData:
         assert not (below(a1, 1) or below(a2, 1) or below(a3, 2)
                     or below(a4, 2) or below(a6, 3))
 
-        roots = poly_roots(Poly(K, [red(a6, 3), red(a4, 2), red(a2, 1), K.one]))
-        gamma, mult = max(roots, key=lambda rm: rm[1], default=(None, 1))
+        cubic = Poly._of(K, (red(a6, 3), red(a4, 2), red(a2, 1), K.one))
+        mult, gamma = _cubic_multiple_root(K, cubic)
         if mult == 1:
             # separable cubic: I0*, components split per the orbits of its roots
-            orbits, split = {3: (3, True), 1: (2, False), 0: (1, None)}[len(roots)]
+            orbits, split = {3: (3, True), 1: (2, False), 0: (1, None)}[_root_count(K, cubic)]
             return finish(KodairaType("I*", 0), 2 + orbits, split, 0)
         if gamma:
             move(r=pi * at.lift(gamma))

@@ -8,8 +8,8 @@ algorithm in local alike, whether the coefficients are rational functions,
 polynomials or residue-field elements.  A Curve is its five coefficients
 and its discriminant, computed once on the coefficients cleared of their
 denominators (clear_denominators, which local uses too); c4, c6 and j are
-computed once, by classify, for the curve's one analysis.  Residue tests go
-through algebra.poly_roots.
+computed once, by classify, for the curve's one analysis, c4 and c6 on the
+same cleared coefficients.
 """
 
 from __future__ import annotations
@@ -387,7 +387,11 @@ def classify(E: Curve) -> Classification:
             continue
         d = int(ai.num.degree)
         h = max(h, -(-d // i))
-    c4, c6 = c_invariants(*E.coeffs)
+    # c4 and c6 have weights 4 and 6, so they come from the cleared
+    # coefficients as delta does in Curve
+    a, D = clear_denominators([(c.num, c.den) for c in E.coeffs])
+    c4, c6 = c_invariants(*a)
+    c4, c6 = RatFunc(c4, D ** 4), RatFunc(c6, D ** 6)
     j = c4 ** 3 / E.delta
     return Classification(
         isotrivial=j.is_constant(),

@@ -1,6 +1,7 @@
 """L-polynomials: Euler products, closed forms, FE, RH, ranks, surface zeta."""
 
 import collections
+from fractions import Fraction
 
 import pytest
 
@@ -234,6 +235,20 @@ def test_power_sum_roundtrip(rng):
         coeffs = (1,) + tuple(rng.randrange(-9, 10) for _ in range(n))
         s = _power_sums(coeffs, n)
         assert _from_power_sums(s, n) == coeffs
+
+
+def test_lpoly_call_matches_fraction_horner(rng):
+    """L(x) by integer Horner equals Horner on Fractions."""
+    for _ in range(200):
+        N = rng.randrange(0, 12)
+        L = LPoly((1,) + tuple(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(N)),
+                  rng.choice([2, 3, 4, 5, 7, 9]), N)
+        x = rng.choice([Fraction(rng.randrange(-50, 50), rng.randrange(1, 50)),
+                        rng.randrange(-5, 6)])
+        want = Fraction(0)
+        for c in reversed(L.coeffs):
+            want = want * x + c
+        assert L(x) == want and isinstance(L(x), Fraction)
 
 
 def test_rank_bounded_by_degree():

@@ -457,10 +457,13 @@ def fingerprint(ld):
 
 def check_local_data(E, ld):
     """transform_used makes E integral at the place, with v(Delta) the
-    minimal one, and Ogg's relation holds."""
+    minimal one and, at a bad place, the singular point of the reduction at
+    (0, 0); Ogg's relation holds."""
     v = ld.place
     M = ld.transform_used.apply(E)
     assert all(a.is_zero() or v.valuation(a) >= 0 for a in M.coeffs), (E, ld)
+    if ld.vdelta_min:
+        assert all(v.valuation(a) >= 1 for a in (M.a3, M.a4, M.a6)), (E, ld)
     if not v.is_infinite:
         # the denominators prime to the place are cleared as well
         assert all(a.is_polynomial() for a in M.coeffs), (E, ld)

@@ -102,7 +102,8 @@ def test_curve_delta_matches_ratfunc_discriminant(F, rng):
     """Curve.delta, taken on the coefficients cleared of their denominators,
     is the discriminant in RatFunc arithmetic, on models with rational
     coefficients (random transforms with rational u, r, s and w) and on
-    base-change layers of both."""
+    base-change layers of both; classify's c4 and c6, taken the same way,
+    are those of RatFunc arithmetic too."""
     curves = []
     for E in (catalog.e7(F), _dense_curve(F)):
         for _ in range(4):
@@ -116,6 +117,8 @@ def test_curve_delta_matches_ratfunc_discriminant(F, rng):
         assert E.delta == discriminant(*E.coeffs)
         c4, c6 = c_invariants(*E.coeffs)
         assert c4**3 - c6**2 == 1728 * E.delta
+        cls = classify(E)
+        assert (cls.c4, cls.c6) == (c4, c6)
 
 
 def test_singular_model_rejected():
