@@ -279,13 +279,14 @@ class FqElem:
             return self if n else self.field.one
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        if not n:
+            return self.field.one
+        # left to right from the top set bit: x^(2^k) is k squarings
+        out = self
+        for bit in bin(n)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def inverse(self):

@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import platform
 import sys
 import time
+
+try:
+    # CPython's own SHA-256 (before 3.12): hashlib would map OpenSSL's
+    # libcrypto, about 3.5 MB of resident memory, for one small digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import __version__
 from .algebra import CapError, FFECError, ParseError, field_create, format_ratfunc
@@ -82,7 +88,7 @@ class Emitter:
     def meta(self, input_text: str | None):
         digest = None
         if input_text is not None:
-            digest = hashlib.sha256(input_text.encode()).hexdigest()
+            digest = sha256(input_text.encode()).hexdigest()
         self.record("meta", command=self.command, input_sha256=digest,
                     versions={"ffec": __version__,
                               "python": platform.python_version()})

@@ -162,18 +162,17 @@ def _power_sums(coeffs, upto: int):
 
 def _from_power_sums(sums, n: int) -> tuple:
     """Coefficients of prod (1 - alpha_i T) from the power sums of alpha_i."""
-    a = [Fraction(1)]
+    a = [1]
     for k in range(1, n + 1):
-        t = Fraction(sums[k - 1])
+        # Newton: k a_k = -(s_k + a_1 s_{k-1} + ... + a_{k-1} s_1)
+        t = sums[k - 1]
         for j in range(1, k):
             t += a[j] * sums[k - j - 1]
-        a.append(-t / k)
-    out = []
-    for x in a:
-        if x.denominator != 1:
+        ak, r = divmod(-t, k)
+        if r:
             raise FFECError("power-sum inversion left a non-integer coefficient")
-        out.append(int(x))
-    return tuple(out)
+        a.append(ak)
+    return tuple(a)
 
 
 def _extend_inverse_roots(L: LPoly, m: int) -> LPoly:

@@ -7,7 +7,9 @@ the resulting L-polynomials.  Each Euler product runs over F_q(u); the
 field F_q(mu_d)(u) is the constant extension of degree m = mult_order(q, d),
 so its L has the m-th powers of the same inverse roots (Ulmer's PCMI
 lectures 1 and 4), and the orbits of j -> qj on Z/d that the scan reports
-come from algebra.orbit_decomposition.  The BlockSystem half checks, in
+come from algebra.orbit_decomposition.  The scan's factor_degrees divides
+out the cyclotomic factors Phi_n(qT) of L and leaves only the rest to the
+factorizer over Z.  The BlockSystem half checks, in
 exact rational arithmetic, the lemma that makes the rank lower bound tick:
 a pairing-preserving map cyclically permuting an even number of blocks of
 odd dimension has 1 - T^a dividing det(1 - phi T).
@@ -16,6 +18,7 @@ odd dimension has 1 - T^a dividing det(1 - phi T).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -258,13 +261,80 @@ def tower_l(E: Curve, d: int, use_mu_d: bool = False) -> LPoly:
     return L
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple:
+    """Phi_n, low degree first: x^n - 1 divided exactly by the Phi_d for
+    the d | n, d < n."""
+    f = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            f = _divide_unit(f, _cyclotomic(d))
+    return f
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_scaled(n: int, q: int) -> tuple:
+    """Phi_n(qT), low degree first."""
+    return tuple(c * q ** i for i, c in enumerate(_cyclotomic(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _totients_upto(m: int) -> tuple:
+    """The pairs (n, phi(n)) with phi(n) <= m, n increasing.  Since
+    phi(n) >= sqrt(n/2), every such n is at most 2 m^2."""
+    top = 2 * m * m
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:
+            for k in range(p, top + 1, p):
+                phi[k] -= phi[k] // p
+    return tuple((n, phi[n]) for n in range(1, top + 1) if phi[n] <= m)
+
+
+def _divide_unit(a, b):
+    """a / b over Z for b with constant term +-1, from the low degree up,
+    or None when b does not divide a."""
+    n, b0 = len(a) - len(b) + 1, b[0]
+    if n < 1:
+        return None
+    a, quo = list(a), []
+    for i in range(n):
+        c = a[i] * b0
+        quo.append(c)
+        if c:
+            for j in range(1, len(b)):
+                a[i + j] -= c * b[j]
+    return None if any(a[n:]) else tuple(quo)
+
+
 def factor_degrees(L: LPoly):
     """Degrees (with multiplicity) of the irreducible rational factors.
-    Only the scans read them, so zfactor is imported here and the other
-    commands do not load it."""
-    from .zfactor import factor_z
 
-    return sorted((len(g) - 1, e) for g, e in factor_z(L.coeffs)[1])
+    The tower layers' L are mostly products of Phi_n(qT), each irreducible
+    over Q (T -> qT is an automorphism of Q[T]) and coprime to the others,
+    so these are divided out first, for each n with phi(n) at most the
+    degree left.  Only a remainder of positive degree is factored by
+    zfactor, which is imported only then, so the other commands do not
+    load it."""
+    f, out = L.coeffs, []
+    for n, phi in _totients_upto(len(f) - 1):
+        if len(f) == 1:
+            break
+        if phi >= len(f):
+            continue
+        g, e = _cyclotomic_scaled(n, L.q), 0
+        while len(f) > phi:
+            quo = _divide_unit(f, g)
+            if quo is None:
+                break
+            f, e = quo, e + 1
+        if e:
+            out.append((phi, e))
+    if len(f) > 1:
+        from .zfactor import factor_z
+
+        out += [(len(g) - 1, e) for g, e in factor_z(f)[1]]
+    return sorted(out)
 
 
 def rank_growth_scan(E: Curve, n_max: int) -> dict:

@@ -1,5 +1,7 @@
 import argparse
 import collections
+import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -268,6 +270,31 @@ def test_import_leaves_zfactor_out():
     out = subprocess.run([sys.executable, "-c", script],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_meta_digest_leaves_openssl_out():
+    """The meta record's input_sha256 is the SHA-256 of the input; where
+    CPython has its own SHA-256 module, a command computes it without
+    hashlib, which would load OpenSSL's libcrypto for one small digest."""
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    curve = pathlib.Path(__file__).parent / "data" / "e9-f2.curve"
+    env = dict(os.environ, PYTHONPATH=src)
+    script = f"""
+import contextlib, io, json, sys
+from ffec import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(["tower", "--curve", {str(curve)!r}, "--d", "3"]) == 0
+meta = json.loads(out.getvalue().splitlines()[0])
+print(json.dumps([meta["input_sha256"], "_hashlib" in sys.modules]))
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    digest, openssl = json.loads(out.stdout)
+    assert digest == hashlib.sha256(curve.read_text(encoding="utf-8").encode()).hexdigest()
+    if importlib.util.find_spec("_sha256") is not None:
+        assert not openssl
 
 
 def test_python_m_ffec():

@@ -228,6 +228,35 @@ def test_inverse_above_the_cap_matches_fermat(F, rng):
         F.zero.inverse()
 
 
+def test_power_on_codes_squares_from_the_top_bit(rng, monkeypatch):
+    """With no table, x ** n runs from the top set bit of n: x ** (2^k)
+    takes exactly k products, and every power equals the repeated
+    product."""
+    F2 = field_create(2)
+    K = Place.finite(Poly.x(F2) ** 100 + Poly.x(F2) ** 37 + 1).residue_field()
+    calls, vmul = [0], K._vmul
+
+    def counted(a, b):
+        calls[0] += 1
+        return vmul(a, b)
+
+    monkeypatch.setattr(K, "_vmul", counted)
+    x = K._make(rng.randrange(2, K.q))
+    y = x
+    for k in range(1, 12):
+        y = y * y
+        calls[0] = 0
+        assert x ** (2 ** k) == y
+        assert calls[0] == k
+    calls[0] = 0
+    assert K.frobenius(x) == x * x and calls[0] == 2
+    prod = K.one
+    for n in range(40):
+        assert x ** n == prod, n
+        prod = prod * x
+    assert K._table is None
+
+
 def test_table_built_mid_use_changes_no_result(rng):
     F7 = field_create(7)
     K = Fq(base=F7, modulus=tuple(Poly(F7, [3, 1, 1]).coeffs))  # t^2 + t + 3
