@@ -61,6 +61,7 @@ from .towers import (
 from .heights_points import (
     HeightValue,
     canonical_height,
+    family_gram,
     gram_matrix,
     gram_rank,
     height_pairing,

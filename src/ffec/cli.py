@@ -37,7 +37,7 @@ from .berger import (
     parse_berger_data,
     second_example_data,
 )
-from .heights_points import legendre_family, points_report
+from .heights_points import circulant_rank, legendre_family, points_report
 from .lfunction import (
     analytic_rank,
     check_functional_equation,
@@ -184,6 +184,8 @@ def cmd_points(args, em: Emitter, text: str | None) -> None:
              f"Gram rank {rep['rank']}, kernel dimension {len(rep['kernel'])}")
     em.check(rep["rank"] + len(rep["kernel"]) == rep["d"],
              "rank + kernel dimension != number of points")
+    em.check(circulant_rank(rep["gram"][0]) == rep["rank"],
+             "the circulant rank d - deg gcd(c(x), x^d - 1) != the Gram rank")
 
 
 def cmd_berger(args, em: Emitter, text: str | None) -> None:

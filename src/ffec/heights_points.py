@@ -20,13 +20,19 @@ Shioda's formula <P,P> = 2 chi + 2 (P.O) - sum_v contr_v(P) (Comment. Math.
 Univ. St. Pauli 39, 1990).  The valuations are exact: each is taken on M,
 of a polynomial numerator, and moved to the model minimal at v by the
 transformation law, with no series, no precision and no second model.
+
+gram_matrix pairs arbitrary points, one addition a pair.  The family needs
+one row: u -> zeta u fixes the curve and maps P_i to P_{i+1}, so its Gram
+matrix is circulant and family_gram builds it from hhat(P_0) and the
+floor(d/2) heights of P_0 + P_k.  circulant_rank reads the rank of such a
+matrix off its first row, d - deg gcd(c(x), x^d - 1), a second route to the
+rank that row reduction gives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -330,30 +336,63 @@ def legendre_family(p: int, f: int = 1) -> PointFamily:
     return PointFamily(E, d, tuple(points), zeta)
 
 
+def family_gram(fam: PointFamily) -> list[list[Fraction]]:
+    """The Gram matrix of the family's points from one row.  sigma: u ->
+    zeta u fixes the curve, since its coefficients are in u^d, maps P_i to
+    P_{i+1} and keeps canonical heights, so <P_i, P_j> = c_{(j-i) mod d}
+    with c_k = c_{d-k}: the matrix is circulant, and c_0 = hhat(P_0) and
+    c_k = (hhat(P_0 + P_k) - 2 c_0) / 2 for k <= d/2 fill it."""
+    E, P, d = fam.curve, fam.points, fam.d
+    h0 = canonical_height(E, P[0]).value
+    c = [h0] * d
+    for k in range(1, d // 2 + 1):
+        s = canonical_height(E, E.add(P[0], P[k])).value
+        c[k] = c[d - k] = (s - 2 * h0) / 2
+    return [c[-i:] + c[:-i] for i in range(d)]
+
+
+def circulant_rank(row) -> int:
+    """The rank of the circulant matrix with first row c_0, ..., c_{d-1},
+    rationals or their strings.  Its eigenvalues are c(zeta_d^j) with
+    c(x) = sum c_k x^k, so the rank is d - deg gcd(c(x), x^d - 1) over Q,
+    computed by Euclid's algorithm in Fractions."""
+    b = [Fraction(x) for x in row]
+    d = len(b)
+    a = [Fraction(-1)] + [Fraction(0)] * (d - 1) + [Fraction(1)]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = 1 / b[-1]
+        while len(a) >= len(b):
+            f = a.pop() * inv
+            off = len(a) - len(b) + 1
+            for i, bi in enumerate(b[:-1]):
+                a[off + i] -= f * bi
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, [x / a[-1] for x in a]
+    return d - (len(a) - 1)
+
+
 def points_report(fam: PointFamily) -> dict:
     """Per-point heights, the Gram matrix, its rank, and a kernel basis,
-    with rationals rendered as strings."""
-    t0 = time.time()
+    with rationals rendered as strings.  Every point has the height of
+    P_0, the diagonal of family_gram."""
     E = fam.curve
-    rows = []
-    for i, P in enumerate(fam.points):
-        rows.append({
-            "i": i,
-            "x": format_ratfunc(P.x, E.var),
-            "y": format_ratfunc(P.y, E.var),
-            "naive": naive_height(P),
-            "canonical": str(canonical_height(E, P).value),
-        })
-    gram = gram_matrix(E, fam.points)
-    rank = _rational_rank(gram)
-    kernel = _kernel_basis(gram)
+    gram = family_gram(fam)
+    canonical = str(gram[0][0])
+    rows = [{"i": i,
+             "x": format_ratfunc(P.x, E.var),
+             "y": format_ratfunc(P.y, E.var),
+             "naive": naive_height(P),
+             "canonical": canonical}
+            for i, P in enumerate(fam.points)]
     return {
         "curve": repr(E),
         "q": E.field.q,
         "d": fam.d,
         "points": rows,
         "gram": [[str(x) for x in row] for row in gram],
-        "rank": rank,
-        "kernel": [list(v) for v in kernel],
-        "seconds": round(time.time() - t0, 3),
+        "rank": _rational_rank(gram),
+        "kernel": [list(v) for v in _kernel_basis(gram)],
     }

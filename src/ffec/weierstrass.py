@@ -248,12 +248,22 @@ class Curve:
         return ws_scalar_mul(self.coeffs, n, P)
 
     def on_curve(self, P: CurvePoint) -> bool:
+        """The curve equation on polynomial numerators.  With D the lcm of
+        the coefficients' denominators (clear_denominators), the a_i D^i
+        are polynomials and P = (X/Z, Y/W) is (D^2 X/Z, D^3 Y/W) on their
+        model, so the equation times Z^3 W^2 compares two polynomials; on
+        a polynomial model D = 1 and no gcd is taken."""
         if P.is_infinity:
             return True
-        a1, a2, a3, a4, a6 = self.coeffs
-        x, y = P.x, P.y
-        lhs = y * y + a1 * x * y + a3 * y
-        rhs = x ** 3 + a2 * x * x + a4 * x + a6
+        (a1, a2, a3, a4, a6), D = clear_denominators(
+            [(c.num, c.den) for c in self.coeffs])
+        X, Z, Y, W = P.x.num, P.x.den, P.y.num, P.y.den
+        if D.degree:
+            D2 = D * D
+            X, Y = X * D2, Y * D2 * D
+        Z2 = Z * Z
+        lhs = (Y * Z + (a1 * X + a3 * Z) * W) * Y * Z2
+        rhs = (((X + a2 * Z) * X + a4 * Z2) * X + a6 * Z2 * Z) * W * W
         return lhs == rhs
 
     def point(self, x, y) -> CurvePoint:

@@ -148,6 +148,19 @@ def test_points_fixture(capsys):
     assert len(gram["kernel"]) == 2
 
 
+def test_points_checks_the_rank_as_a_circulant(capsys, monkeypatch):
+    seen = []
+
+    def wrong(row):
+        seen.append(list(row))
+        return 3
+    monkeypatch.setattr(cli, "circulant_rank", wrong)
+    code, records, err = run(capsys, ["points", "--p", "3"])
+    assert seen == [by_kind(records, "gram")[0]["matrix"][0]]
+    assert code == 1 and "circulant rank" in err
+    assert by_kind(records, "summary")[0]["ok"] is False
+
+
 def test_points_rejects_char_2(capsys):
     code, records, _ = run(capsys, ["points", "--p", "2"])
     assert code == 1

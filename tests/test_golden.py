@@ -29,6 +29,7 @@ CASES = {
     "points-p5": ["points", "--p", "5"],
     "points-p7": ["points", "--p", "7"],
     "points-p3-f2": ["points", "--p", "3", "--f", "2"],
+    "points-p5-f2": ["points", "--p", "5", "--f", "2"],
     "tower-e9-f2-scan2": ["tower", "--curve", "e9-f2.curve", "--scan", "2"],
     "tower-e7-f2-d9-mu": ["tower", "--curve", "e7-f2.curve", "--d", "9", "--mu"],
     "analyze-e7-f2": ["analyze", "--curve", "e7-f2.curve"],

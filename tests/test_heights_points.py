@@ -26,7 +26,10 @@ from ffec.heights_points import (
     HeightValue,
     TorsionInconclusive,
     _kernel_basis,
+    _rational_rank,
     canonical_height,
+    circulant_rank,
+    family_gram,
     gram_matrix,
     gram_rank,
     height_pairing,
@@ -345,6 +348,45 @@ def test_legendre_analytic_rank_is_gram_rank(p, rank):
     fam = legendre_family(p)
     L = l_polynomial(fam.curve)
     assert analytic_rank(L) == gram_rank(fam.curve, fam.points) == rank
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_family_gram_is_gram_matrix(p, f):
+    fam = legendre_family(p, f)
+    assert family_gram(fam) == gram_matrix(fam.curve, fam.points)
+
+
+def test_family_gram_off_row_entries(rng):
+    # d = 26 over F_625: entries away from row 0 and the diagonal, paired
+    # directly, are the circulant's c_{(j - i) mod d}
+    fam = legendre_family(5, 2)
+    E, pts, d = fam.curve, fam.points, fam.d
+    gram = family_gram(fam)
+    c = gram[0]
+    assert all(c[k] == c[d - k] for k in range(1, d))
+    for _ in range(4):
+        i, j = rng.sample(range(1, d), 2)
+        assert height_pairing(E, pts[i], pts[j]).value == c[(j - i) % d] == gram[i][j]
+    i = rng.randrange(1, d)
+    assert canonical_height(E, pts[i]).value == c[0] == gram[i][i]
+
+
+def test_circulant_rank_is_row_reduce_rank(rng):
+    ranks = set()
+    for d in range(1, 13):
+        for _ in range(6):
+            c = [Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)) for _ in range(d)]
+            # times x^k - 1 mod x^d - 1 for a divisor k of d: the eigenvalues
+            # at the k-th roots of unity vanish (all of them when k = d)
+            k = rng.choice([k for k in range(1, d + 1) if d % k == 0])
+            singular = [c[(i - k) % d] - c[i] for i in range(d)]
+            for row in (c, singular, [Fraction(0)] * d):
+                M = [[row[(j - i) % d] for j in range(d)] for i in range(d)]
+                want = _rational_rank(M)
+                assert circulant_rank(row) == want, (row, want)
+                assert circulant_rank([str(x) for x in row]) == want
+                ranks.add((d, want))
+    assert any(0 < r < d - 1 for d, r in ranks)
 
 
 def test_points_report_shape(fam31):

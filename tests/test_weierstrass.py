@@ -308,10 +308,10 @@ def test_group_law_matches_textbook_legendre(p):
     _check_group_law(fam.curve, fam.points[:3])
 
 
-def test_group_law_matches_textbook_with_denominators(rng):
-    # a4 and a6 chosen so that two points with non-polynomial coordinates
-    # lie on a curve over F_9 whose a1, a2, a3 have denominators too
-    F = field_create(3, 2)
+def _curve_through(F, rng):
+    """A curve over F(t) and two points on it with non-polynomial
+    coordinates: a1, a2, a3 are random fractions and a4, a6 are solved for
+    so that the equation holds at both points."""
     while True:
         a1, a2, a3, x1, y1, x2, y2 = (rand_rf(F, rng) for _ in range(7))
         if x1 == x2 or any(c.is_polynomial() for c in (a1, a2, a3, x1, x2)):
@@ -325,8 +325,12 @@ def test_group_law_matches_textbook_with_denominators(rng):
             E = Curve(F, a1, a2, a3, a4, a6)
         except NotEllipticError:
             continue
-        break
-    P, Q = E.point(x1, y1), E.point(x2, y2)
+        return E, E.point(x1, y1), E.point(x2, y2)
+
+
+def test_group_law_matches_textbook_with_denominators(rng):
+    # a curve over F_9 whose a1, a2, a3 have denominators too
+    E, P, Q = _curve_through(field_create(3, 2), rng)
     _check_group_law(E, [P, Q, E.add(P, Q)])
 
 
@@ -350,6 +354,69 @@ def test_polynomial_arithmetic_takes_no_gcd(monkeypatch):
     assert calls == []
     # j = c4^3 / delta is a true fraction and the one invariant with a gcd
     assert not (c4 ** 3 / E.delta).is_polynomial() and calls
+
+
+def _equation_holds(E, P):
+    """The curve equation in RatFunc arithmetic: the oracle of on_curve."""
+    a1, a2, a3, a4, a6 = E.coeffs
+    x, y = P.x, P.y
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
+
+
+def _on_curve_cases(rng):
+    """(curve, points on it): family points and their multiples, the
+    multiples of (1, t) on y^2 = x^3 + t^2 - 1, curves through two random
+    points in characteristics 2 and 3, and every one of these moved by a
+    transform with rational u, r, s and w."""
+    cases = []
+    for p in (3, 5):
+        fam = legendre_family(p)
+        E, (P, Q) = fam.curve, fam.points[:2]
+        cases.append((E, [P, Q, E.add(P, Q), E.scalar_mul(2, P),
+                          E.scalar_mul(-3, Q)]))
+    t = RatFunc.t(F5)
+    E = Curve(F5, a6=t * t - 1)
+    P = CurvePoint(RatFunc.one(F5), t)
+    cases.append((E, [E.scalar_mul(n, P) for n in range(1, 7)]))
+    for F in (F4, field_create(3, 2)):
+        E, P, Q = _curve_through(F, rng)
+        cases.append((E, [P, Q, E.add(P, Q), E.scalar_mul(2, P)]))
+    for E, pts in list(cases):
+        F = E.field
+        tau = Transform.make(F, u=rand_rf(F, rng), r=rand_rf(F, rng),
+                             s=rand_rf(F, rng), w=rand_rf(F, rng))
+        E2 = tau.apply(E)
+        assert not all(c.is_polynomial() for c in E2.coeffs)
+        cases.append((E2, [tau.apply_point(P) for P in pts]))
+    return cases
+
+
+def test_on_curve_agrees_with_ratfunc_equation(rng):
+    for E, pts in _on_curve_cases(rng):
+        t = RatFunc.t(E.field)
+        for P in pts:
+            assert E.on_curve(P) and _equation_holds(E, P)
+            for bad in (CurvePoint(P.x, P.y + 1), CurvePoint(P.x + t, P.y)):
+                assert not E.on_curve(bad) and not _equation_holds(E, bad)
+        assert E.on_curve(CurvePoint.infinity())
+
+
+def test_on_curve_takes_no_gcd_on_a_polynomial_model(monkeypatch):
+    fam = legendre_family(5)
+    E = catalog.e7(F3)
+    zero = CurvePoint(RatFunc.zero(F3), RatFunc.zero(F3))
+    calls = []
+    gcd = Poly.gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(Poly, "gcd", spy)
+    assert all(fam.curve.on_curve(P) for P in fam.points)
+    assert E.on_curve(zero)
+    assert not fam.curve.on_curve(CurvePoint(fam.points[0].x, fam.points[1].y))
+    assert calls == []
 
 
 def test_classify_fixtures():
