@@ -14,8 +14,6 @@ from .algebra import (
     mult_order,
     place_count,
     places_up_to,
-    reduce_at,
-    valuation,
 )
 from .weierstrass import (
     Curve,
@@ -63,7 +61,6 @@ from .heights_points import (
     canonical_height,
     family_gram,
     gram_matrix,
-    gram_rank,
     height_pairing,
     is_torsion,
     legendre_family,

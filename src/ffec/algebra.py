@@ -127,7 +127,7 @@ class FqElem:
     equal elements of the same field are the same object.
 
     `val` is the element's code sum_i c_i p^i, c_0 .. c_(e-1) its
-    coordinates over F_p (Fq._flatten), in every field; codes in increasing
+    coordinates over F_p (Fq._coords), in every field; codes in increasing
     order are the canonical order of the elements.  Once the field has its
     table (Fq.zech), `log` is the element's discrete logarithm to the
     table's generator (None for 0) and every operation is a table lookup;
@@ -474,15 +474,6 @@ class Fq:
         for v in range(self.q):
             yield self._make(v)
 
-    def _flatten(self, x: FqElem):
-        """Coordinates over F_p, low degree first, as ints of length e: the
-        base-p digits of the code."""
-        v, p, out = x.val, self.p, []
-        for _ in range(self.e):
-            v, c = divmod(v, p)
-            out.append(c)
-        return tuple(out)
-
     def _weights(self) -> np.ndarray:
         """p^0 .. p^(e-1), in int64 while codes fit in it and as Python ints
         in an object array above that."""
@@ -490,8 +481,9 @@ class Fq:
                         dtype=np.int64 if self.q < 1 << 62 else object)
 
     def _coords(self, xs) -> np.ndarray:
-        """The coordinates (_flatten) of the elements xs as the rows of an
-        (len(xs), e) int64 array."""
+        """The coordinates over F_p of the elements xs, low degree first,
+        as the rows of an (len(xs), e) int64 array: the base-p digits of
+        their codes."""
         w = self._weights()
         codes = np.array([x.val for x in xs], dtype=w.dtype)
         return (codes[:, None] // w % self.p).astype(np.int64)
@@ -518,18 +510,18 @@ class Fq:
 
     def absolute_trace(self, x: FqElem) -> int:
         """Trace down to F_p, returned as an integer in [0, p): the sum of
-        the conjugates x^(p^j), j < e, by e - 1 Frobenius steps on x.  It
-        works on codes and never reads the field's table, so it checks
+        the conjugates x^(p^j), j < e, by e - 1 Frobenius steps on x, each
+        y^p from the top bit of p down: one product at p = 2.  It works on
+        codes and never reads the field's table, so it checks
         ZechTable.tracebit."""
+        bits = bin(self.p)[3:]
         s = y = x.val
         for _ in range(self.e - 1):
-            # y = y^p by square-and-multiply
-            b, n, y = y, self.p, 1
-            while n:
-                if n & 1:
+            b = y
+            for bit in bits:
+                y = self._vmul(y, y)
+                if bit == "1":
                     y = self._vmul(y, b)
-                b = self._vmul(b, b)
-                n >>= 1
             s = self._vadd(s, y)
         return self._prime_int(self._make(s))
 
@@ -1077,7 +1069,7 @@ def _monic_divisor(field: Fq, B: np.ndarray):
         return np.array([[inv]]), [B[:-1, 0] * inv % p]
     T = field._mul_tensor()
     inv = field._from_coords(B[-1:])[0].inverse()
-    minv = (np.array(field._flatten(inv)) @ T.reshape(e, e * e)).reshape(e, e) % p
+    minv = (field._coords([inv])[0] @ T.reshape(e, e * e)).reshape(e, e) % p
     return minv, list((B[:-1] @ minv % p @ T % p).reshape(e, -1))
 
 
@@ -1653,24 +1645,6 @@ class Place:
         return format_place(self, "t")
 
 
-def valuation(r: RatFunc | Poly, v: Place):
-    """Order of vanishing of r at v; +inf for r = 0."""
-    if isinstance(r, Poly):
-        return v.valuation_poly(r)
-    return v.valuation(r)
-
-
-def reduce_at(r: RatFunc | Poly, v: Place) -> FqElem:
-    """Image of r in the residue field at v.  Requires valuation >= 0."""
-    if isinstance(r, Poly):
-        if v.poly is None:
-            if r.degree > 0:
-                raise ValueError("pole at the infinite place")
-            return r[0] if r.coeffs else v.field.zero
-        return v.reduce_poly(r)
-    return v.reduce(r)
-
-
 @dataclasses.dataclass(frozen=True)
 class OrbitDecomposition:
     d: int
@@ -1983,9 +1957,3 @@ def format_place(v: Place, var: str = "t") -> str:
         return "inf"
     return format_poly(v.poly, var)
 
-
-def parse_place(s: str, field: Fq, var: str | None = None) -> Place:
-    s = s.strip()
-    if s == "inf":
-        return Place.infinite(field)
-    return Place.finite(parse_poly(s, field, var))

@@ -253,13 +253,10 @@ def gram_matrix(E: Curve, points) -> list[list[Fraction]]:
     return gram
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    return len(row_reduce(rows)[1])
-
-
-def _kernel_basis(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
-    """Primitive integer vectors spanning the rational null space."""
-    m, pivots, _ = row_reduce(rows)
+def _kernel_basis(m: list[list[Fraction]], pivots) -> list[tuple[int, ...]]:
+    """Primitive integer vectors spanning the rational null space of a
+    matrix, read off its reduced row echelon form m and pivot columns, as
+    row_reduce gives them."""
     n = len(m[0]) if m else 0
     basis = []
     for c in range(n):
@@ -274,12 +271,6 @@ def _kernel_basis(rows: list[list[Fraction]]) -> list[tuple[int, ...]]:
         g = math.gcd(*ints)
         basis.append(tuple(x // g for x in ints))
     return basis
-
-
-def gram_rank(E: Curve, points) -> int:
-    """Exact rank of the Gram matrix, a lower bound for the Mordell-Weil
-    rank."""
-    return _rational_rank(gram_matrix(E, points))
 
 
 def is_torsion(E: Curve, P: CurvePoint) -> bool:
@@ -377,9 +368,11 @@ def circulant_rank(row) -> int:
 def points_report(fam: PointFamily) -> dict:
     """Per-point heights, the Gram matrix, its rank, and a kernel basis,
     with rationals rendered as strings.  Every point has the height of
-    P_0, the diagonal of family_gram."""
+    P_0, the diagonal of family_gram; the rank and the kernel come from
+    one row_reduce."""
     E = fam.curve
     gram = family_gram(fam)
+    m, pivots, _ = row_reduce(gram)
     canonical = str(gram[0][0])
     rows = [{"i": i,
              "x": format_ratfunc(P.x, E.var),
@@ -393,6 +386,6 @@ def points_report(fam: PointFamily) -> dict:
         "d": fam.d,
         "points": rows,
         "gram": [[str(x) for x in row] for row in gram],
-        "rank": _rational_rank(gram),
-        "kernel": [list(v) for v in _kernel_basis(gram)],
+        "rank": len(pivots),
+        "kernel": [list(v) for v in _kernel_basis(m, pivots)],
     }

@@ -445,18 +445,15 @@ def constant_trace(E: Curve) -> int:
 # functional equation, RH, analytic rank
 
 def check_functional_equation(L: LPoly) -> int:
-    """The sign eps in a_{N-i} = eps q^{N-2i} a_i; raises if neither sign
-    is consistent.  The substitution form T^N q^N L(1/(q^2 T)) = eps L(T)
-    is re-verified at sample points with exact rationals."""
+    """The sign eps in a_{N-i} = eps q^{N-2i} a_i, read as a_N / q^N
+    (a_0 = 1); raises unless it is +1 or -1 and every pair a_i, a_{N-i}
+    obeys it."""
     a, q, N = L.coeffs, L.q, L.N
-    for eps in (1, -1):
-        if all(a[N - i] * q ** (2 * i) == eps * q ** N * a[i] for i in range(N + 1)):
-            for t in (Fraction(1), Fraction(1, 2), Fraction(2, q)):
-                lhs = t ** N * q ** N * L(1 / (q * q * t))
-                if lhs != eps * L(t):
-                    raise FFECError("functional equation inconsistent at a sample point")
-            return eps
-    raise FFECError("functional equation fails for both signs")
+    eps = a[N] // q ** N
+    if eps not in (1, -1) or any(a[N - i] * q ** (2 * i) != eps * q ** N * a[i]
+                                 for i in range(N + 1)):
+        raise FFECError("functional equation fails for both signs")
+    return eps
 
 
 # relative tolerance of the root-size check
@@ -525,8 +522,8 @@ def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:
     """Assemble Z(surface, T) = Z(P^1,T) Z(P^1,qT) * corrections / L, where
     each bad place contributes
     (1-T^d)^(a+1) (1+T^d)^b / ((1-q_v T^d)^(f-1) (1+q_v T^d)^g)
-    with (a, b, f, g) from the fiber table and d = deg v.  The pole order
-    at T = 1/q must come out as 2 + sum(f_v - 1) + analytic_rank(L)."""
+    with (a, b, f, g) from the fiber table and d = deg v.  Its pole order
+    at T = 1/q is 2 + sum(f_v - 1) + analytic_rank(L) by construction."""
     q = L.q
     if not local and not curve_analysis(E).cls.constant:
         raise FFECError("a non-constant curve must have bad fibers")
@@ -543,12 +540,10 @@ def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:
     if L.N > 0:
         put(den, L.coeffs, 1)
 
-    fsum = 0
     for ld in local:
         a, b, f, g = fiber_table_row(ld.type, ld.split)
         if f != ld.f_v:
             raise FFECError(f"fiber table disagrees with local data at {ld.place!r}")
-        fsum += f - 1
         d = ld.place.degree
         qv = ld.place.qv
         minus = (1,) + (0,) * (d - 1) + (-1,)
@@ -560,9 +555,4 @@ def surface_zeta(E: Curve, L: LPoly, local) -> SurfaceZeta:
         put(den, qminus, f - 1)
         put(den, qplus, g)
 
-    Z = SurfaceZeta(tuple(sorted(num.items())), tuple(sorted(den.items())), q)
-    expect = 2 + fsum + analytic_rank(L)
-    if Z.pole_order() != expect:
-        raise FFECError(
-            f"pole order {Z.pole_order()} at T=1/q, expected {expect}")
-    return Z
+    return SurfaceZeta(tuple(sorted(num.items())), tuple(sorted(den.items())), q)

@@ -169,7 +169,8 @@ def _quad_verdict(K, c2, c1, c0):
     For odd p the discriminant decides: zero, a square (log parity in a
     field with a table, Euler's criterion above it) or not.  For p = 2 the
     root is double iff c1 = 0, and otherwise Y^2 + Y + c0 c2 / c1^2 splits
-    iff that constant has trace 0 (Lidl-Niederreiter, Thm 2.25)."""
+    iff that constant has trace 0 (Lidl-Niederreiter, Thm 2.25), read from
+    the field's table or, with no table, by Fq.absolute_trace."""
     if K.p != 2:
         disc = c1 * c1 - 4 * c0 * c2
         if not disc:
@@ -182,12 +183,7 @@ def _quad_verdict(K, c2, c1, c0):
     x = c0 * c2 / (c1 * c1)
     if x.log is not None:
         return K.zech().tracebit[x.log] == 0, None
-    # Tr(x) = x + x^2 + ... + x^(2^(e-1)), 0 or 1 in F_2
-    tr, y = x, x
-    for _ in range(K.e - 1):
-        y = y * y
-        tr = tr + y
-    return not tr, None
+    return K.absolute_trace(x) == 0, None
 
 
 def _cubic_multiple_root(K, f: Poly):

@@ -363,6 +363,7 @@ def rank_growth_scan(E: Curve, n_max: int) -> dict:
         d = q ** n + 1
         L_F = tower_l(E, d)
         L_K = _extend_inverse_roots(L_F, mult_order(q, d))
+        sizes = list(orbit_decomposition(d, q).sizes)
         ranks = {}
         for fieldname, L in (("F_d", L_F), ("K_d", L_K)):
             r = analytic_rank(L)
@@ -376,7 +377,7 @@ def rank_growth_scan(E: Curve, n_max: int) -> dict:
                 "rank": r,
                 "l_coeffs": list(L.coeffs),
                 "factor_degrees": factor_degrees(L),
-                "orbit_sizes": list(orbit_decomposition(d, q).sizes),
+                "orbit_sizes": sizes,
             })
         if ranks["K_d"] < ranks["F_d"]:
             raise FFECError("rank dropped under constant extension")

@@ -105,6 +105,8 @@ def test_criterion_02_tate_fixtures():
     assert set(types) == {"t", "t+4", "t^2+t+1", "inf"}
     for ld in types.values():
         assert ld.vdelta_min == ld.n_v + ld.m_v - 1, f"Ogg fails at {ld.place!r}"
+        # p = 5: no wild part, so n_v is the tame part of the fiber type
+        assert ld.n_v == ld.tame, f"wild conductor at {ld.place!r}"
     assert classify(E).height == 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 5

@@ -20,15 +20,12 @@ from ffec.algebra import (
     iter_monic_irreducibles,
     mult_order,
     parse_element,
-    parse_place,
     parse_poly,
     parse_ratfunc,
     place_count,
     places_up_to,
     poly_roots,
-    reduce_at,
     row_reduce,
-    valuation,
 )
 
 POS_INF = float("inf")
@@ -456,12 +453,12 @@ def test_valuation_examples():
     F2 = field_create(2)
     t = RatFunc.t(F2)
     inf = Place.infinite(F2)
-    assert valuation(t, inf) == -1
-    assert valuation(1 / t, inf) == 1
-    assert valuation(RatFunc.zero(F2), inf) == POS_INF
-    v = parse_place("t", F2)
-    assert valuation(t ** 3 / (t + 1), v) == 3
-    assert valuation(RatFunc.one(F2) / t ** 2, v) == -2
+    assert inf.valuation(t) == -1
+    assert inf.valuation(1 / t) == 1
+    assert inf.valuation(RatFunc.zero(F2)) == POS_INF
+    v = Place.finite(parse_poly("t", F2))
+    assert v.valuation(t ** 3 / (t + 1)) == 3
+    assert v.valuation(RatFunc.one(F2) / t ** 2) == -2
 
 
 def _valuation_by_divmod(f, g):
@@ -507,51 +504,51 @@ def test_degree_sum_of_principal_divisor(rng):
         r = rand_ratfunc(F, rng, deg=5)
         if r.is_zero():
             continue
-        total = -valuation(r, Place.infinite(F)) * 1
+        total = -Place.infinite(F).valuation(r) * 1
         support = r.num * r.den
         _, fac = factor_poly(support)
         for g, _ in fac:
             v = Place(F, g, _checked=True)
-            total += valuation(r, v) * v.degree
+            total += v.valuation(r) * v.degree
         assert total == 0 if False else abs(total) == 0 or True
         # the infinite valuation balances the finite ones
-        finite = sum(valuation(r, Place(F, g, _checked=True)) * g.degree
+        finite = sum(Place(F, g, _checked=True).valuation(r) * g.degree
                      for g, _ in fac)
-        assert finite + valuation(r, Place.infinite(F)) == 0
+        assert finite + Place.infinite(F).valuation(r) == 0
 
 
 def test_reduce_at():
     F2 = field_create(2)
-    v = parse_place("t^2+t+1", F2)
+    v = Place.finite(parse_poly("t^2+t+1", F2))
     r = RatFunc(parse_poly("t^2+t", F2))
-    assert reduce_at(r, v) == v.residue_field().one
+    assert v.reduce(r) == v.residue_field().one
     # reduction of t at a degree-2 place is the residue field generator
     kappa = v.residue_field()
-    assert reduce_at(RatFunc.t(F2), v) == kappa.gen
+    assert v.reduce(RatFunc.t(F2)) == kappa.gen
     # pole detected
     with pytest.raises(ValueError):
-        reduce_at(RatFunc.one(F2) / parse_poly("t^2+t+1", F2), v)
+        v.reduce(RatFunc.one(F2) / parse_poly("t^2+t+1", F2))
 
 
 def test_reduce_at_infinity():
     F5 = field_create(5)
     t = RatFunc.t(F5)
     inf = Place.infinite(F5)
-    assert reduce_at((t ** 2 + 1) / (t ** 2 + t), inf) == F5.one
-    assert reduce_at((3 * t + 1) / (t ** 2), inf) == F5.zero
+    assert inf.reduce((t ** 2 + 1) / (t ** 2 + t)) == F5.one
+    assert inf.reduce((3 * t + 1) / (t ** 2)) == F5.zero
     with pytest.raises(ValueError):
-        reduce_at(t, inf)
+        inf.reduce(t)
 
 
 def test_residue_field_is_direct_quotient():
     # kappa_v is F_q[t]/(f) itself: the class of t is the field generator
     F3 = field_create(3)
-    v = parse_place("t^3+2*t+1", F3)
+    v = Place.finite(parse_poly("t^3+2*t+1", F3))
     kappa = v.residue_field()
     assert kappa.q == 27
-    assert reduce_at(RatFunc.t(F3), v) == kappa.gen
+    assert v.reduce(RatFunc.t(F3)) == kappa.gen
     f = v.poly
-    img = sum((reduce_at(RatFunc.from_const(c), v) * kappa.gen ** k
+    img = sum((v.reduce(RatFunc.from_const(c)) * kappa.gen ** k
                for k, c in enumerate(f.coeffs)), kappa.zero)
     assert img == kappa.zero
 

@@ -1,5 +1,6 @@
 import argparse
 import collections
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -14,9 +15,9 @@ import pytest
 
 import ffec
 from ffec import cli, local, weierstrass
-from ffec.algebra import field_create
+from ffec.algebra import field_create, row_reduce
+from ffec.berger import BergerData
 from ffec.catalog import e1, e7
-from ffec.heights_points import _rational_rank
 from ffec.weierstrass import base_change_pow, format_curve_file
 
 TATE_CURVE = """\
@@ -161,6 +162,74 @@ def test_points_checks_the_rank_as_a_circulant(capsys, monkeypatch):
     assert by_kind(records, "summary")[0]["ok"] is False
 
 
+def test_analyze_fails_when_rh_fails(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "tate.curve"
+    f.write_text(TATE_CURVE)
+    monkeypatch.setattr(cli, "check_rh", lambda L: False)
+    code, records, err = run(capsys, ["analyze", "--curve", str(f)])
+    assert by_kind(records, "lreport")[0]["rh"] is False
+    assert code == 1 and "inverse roots of L are not all on |alpha| = q" in err
+    assert by_kind(records, "summary")[0]["ok"] is False
+
+
+# y^2 + t y = x^3 + t over F_2: type II at t with n_v = 4, a wild part of 2
+WILD_CURVE = """\
+p = 2
+e = 1
+a3 = t
+a6 = t
+"""
+
+
+@pytest.mark.parametrize("curve, place, kodaira, by, ok", [
+    (TATE_CURVE, "inf", "I6*", 0, True),
+    # over F_5 the wild part is 0: n_v above the tame part fails
+    (TATE_CURVE, "inf", "I6*", 1, False),
+    (TATE_CURVE, "t", "I6", 1, False),
+    (TATE_CURVE, "t+4", "I2", -1, False),
+    # over F_2 a wild part may come on top of the tame part, never below it
+    (WILD_CURVE, "t", "II", 0, True),
+    (WILD_CURVE, "t", "II", 1, True),
+    (WILD_CURVE, "t", "II", -2, True),
+    (WILD_CURVE, "t", "II", -3, False),
+])
+def test_analyze_checks_conductor_exponents_against_tame_parts(
+        tmp_path, capsys, monkeypatch, curve, place, kodaira, by, ok):
+    f = tmp_path / "c.curve"
+    f.write_text(curve)
+    real = cli.curve_analysis
+
+    def shifted(E):
+        # cmd_analyze reads n_v + by at the bad place named place
+        A = real(E)
+        bad = tuple(dataclasses.replace(ld, n_v=ld.n_v + by)
+                    if repr(ld.place) == place else ld for ld in A.bad)
+        return dataclasses.replace(A, bad=bad)
+    monkeypatch.setattr(cli, "curve_analysis", shifted)
+    code, records, err = run(capsys, ["analyze", "--curve", str(f)])
+    ld = [r for r in by_kind(records, "localdata") if r["place"] == place]
+    assert [r["kodaira"] for r in ld] == [kodaira]
+    assert (code == 0) == ok
+    assert (f"conductor exponent {ld[0]['n_v']} at {place} is not" in err) != ok
+
+
+def test_berger_fails_on_violated_hypotheses(capsys, monkeypatch):
+    monkeypatch.setattr(BergerData, "check_hypotheses",
+                        lambda self: ["planted violation"])
+    code, records, err = run(capsys, ["berger", "--catalog", "first-example",
+                                      "--params", "p=3"])
+    assert by_kind(records, "hypotheses")[0]["violations"] == ["planted violation"]
+    assert code == 1 and "FAILED: planted violation" in err
+
+
+def test_berger_fails_on_negative_genus(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "genus", lambda data: -1)
+    code, records, err = run(capsys, ["berger", "--catalog", "first-example",
+                                      "--params", "p=3"])
+    assert by_kind(records, "berger_divisor")[0]["genus"] == -1
+    assert code == 1 and "FAILED: negative genus" in err
+
+
 def test_points_rejects_char_2(capsys):
     code, records, _ = run(capsys, ["points", "--p", "2"])
     assert code == 1
@@ -179,8 +248,8 @@ def test_points_p5(capsys):
     kernel = [[Fraction(x) for x in v] for v in gram["kernel"]]
     want = [[Fraction(x) for x in v]
             for v in ((1, 1, 1, 1, 1, 1), (1, -1, 1, -1, 1, -1))]
-    assert _rational_rank(kernel) == _rational_rank(want) == \
-        _rational_rank(kernel + want) == 2
+    assert len(row_reduce(kernel)[1]) == len(row_reduce(want)[1]) == \
+        len(row_reduce(kernel + want)[1]) == 2
 
 
 def test_points_rejects_zero_iters(capsys):

@@ -257,6 +257,34 @@ def test_power_on_codes_squares_from_the_top_bit(rng, monkeypatch):
     assert K._table is None
 
 
+@pytest.mark.parametrize("p, e, per_step", [(2, 16, 1), (2, 100, 1), (3, 7, 2), (5, 5, 3)])
+def test_absolute_trace_takes_one_product_per_squaring(rng, monkeypatch, p, e, per_step):
+    """Each Frobenius step y -> y^p runs from the top bit of p down, with
+    no product by 1 and no squaring past the last bit: one product at
+    p = 2, 2 at p = 3 and 3 at p = 5.  The trace is the sum of the
+    conjugates x^(p^j) taken through the field's own power."""
+    F = field_create(p)
+    g = next(iter_monic_irreducibles(F, e)) if p ** e <= PLACE_CAP else \
+        Poly.x(F) ** 100 + Poly.x(F) ** 37 + 1
+    K = Place.finite(g).residue_field()
+    calls, vmul = [0], K._vmul
+
+    def counted(a, b):
+        calls[0] += 1
+        return vmul(a, b)
+
+    for _ in range(3):
+        x = K._make(rng.randrange(2, K.q))
+        want, y = K.zero, x
+        for _ in range(e):
+            want, y = want + y, y ** p
+        monkeypatch.setattr(K, "_vmul", counted)
+        calls[0] = 0
+        assert K.absolute_trace(x) == want.val
+        assert calls[0] == per_step * (e - 1)
+        monkeypatch.undo()
+
+
 def test_table_built_mid_use_changes_no_result(rng):
     F7 = field_create(7)
     K = Fq(base=F7, modulus=tuple(Poly(F7, [3, 1, 1]).coeffs))  # t^2 + t + 3

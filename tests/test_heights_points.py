@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffec.algebra import FFECError, Poly, RatFunc, field_create, parse_ratfunc
+from ffec.algebra import FFECError, Poly, RatFunc, field_create, parse_ratfunc, row_reduce
 from ffec.weierstrass import (
     Curve,
     CurvePoint,
@@ -26,12 +26,10 @@ from ffec.heights_points import (
     HeightValue,
     TorsionInconclusive,
     _kernel_basis,
-    _rational_rank,
     canonical_height,
     circulant_rank,
     family_gram,
     gram_matrix,
-    gram_rank,
     height_pairing,
     is_torsion,
     legendre_family,
@@ -228,17 +226,17 @@ def test_gram_fixture(fam31):
         [0, -1, 0, 1],
     ]
     assert gram == [[scale * e for e in row] for row in pattern]
-    assert gram_rank(E, pts) == 2 == fam31.d - 2
+    assert len(row_reduce(gram)[1]) == 2 == fam31.d - 2
     for v in ((1, 1, 1, 1), (1, -1, 1, -1)):
         for row in gram:
             assert sum(a * x for a, x in zip(v, row)) == 0
-    for v in _kernel_basis(gram):
+    for v in _kernel_basis(*row_reduce(gram)[:2]):
         for row in gram:
             assert sum(a * x for a, x in zip(v, row)) == 0
 
 
 def test_gram_single_point(fam31):
-    assert gram_rank(fam31.curve, [fam31.points[0]]) == 1
+    assert len(row_reduce(gram_matrix(fam31.curve, [fam31.points[0]]))[1]) == 1
 
 
 def test_gram_ambiguous_without_iterations(fam31):
@@ -347,7 +345,7 @@ def test_legendre_analytic_rank_is_gram_rank(p, rank):
     # F_p, vanishes at T = 1/q to the order of the points' Gram rank
     fam = legendre_family(p)
     L = l_polynomial(fam.curve)
-    assert analytic_rank(L) == gram_rank(fam.curve, fam.points) == rank
+    assert analytic_rank(L) == len(row_reduce(gram_matrix(fam.curve, fam.points))[1]) == rank
 
 
 @pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -382,7 +380,7 @@ def test_circulant_rank_is_row_reduce_rank(rng):
             singular = [c[(i - k) % d] - c[i] for i in range(d)]
             for row in (c, singular, [Fraction(0)] * d):
                 M = [[row[(j - i) % d] for j in range(d)] for i in range(d)]
-                want = _rational_rank(M)
+                want = len(row_reduce(M)[1])
                 assert circulant_rank(row) == want, (row, want)
                 assert circulant_rank([str(x) for x in row]) == want
                 ranks.add((d, want))

@@ -18,7 +18,6 @@ from ffec.algebra import (
     parse_ratfunc,
     place_count,
     places_up_to,
-    reduce_at,
 )
 from ffec.weierstrass import (
     Curve,
@@ -294,7 +293,7 @@ def _reference_series(E, order):
         if v.is_infinite or (delta % v.poly).is_zero():
             f = euler_factor(M, v)
         else:
-            cs = [reduce_at(r, v) for r in M.coeffs]
+            cs = [v.reduce(r) for r in M.coeffs]
             a = v.qv + 1 - count_ws_points(v.residue_field(), *cs)
             d = v.degree
             f = [0] * (2 * d + 1)
@@ -429,6 +428,6 @@ def test_good_counts_match_places(F, rng):
         delta = M.delta.num
         for d in range(1, 4):
             want = sorted(
-                count_ws_points(v.residue_field(), *(reduce_at(r, v) for r in M.coeffs))
+                count_ws_points(v.residue_field(), *(v.reduce(r) for r in M.coeffs))
                 for v in places if v.degree == d and not (delta % v.poly).is_zero())
             assert sorted(lfunction._good_counts(M, d)) == want, (E, d)
