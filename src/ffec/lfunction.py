@@ -71,15 +71,6 @@ class LPoly:
         if len(self.coeffs) != self.N + 1 or self.coeffs[0] != 1:
             raise ValueError("coefficient list must have length N+1 and lead with 1")
 
-    def __call__(self, x: Fraction) -> Fraction:
-        # Horner in integers: for x = n/d the sum of c_i n^i d^(N-i), over d^N
-        n, d = x.numerator, x.denominator
-        acc, dk = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * n + c * dk
-            dk *= d
-        return Fraction(acc, dk // d)
-
     def __str__(self):
         if self.N == 0:
             return "1"

@@ -1,18 +1,24 @@
-"""Long-polynomial arithmetic against the schoolbook.
+"""Polynomial arithmetic against the schoolbook, on every route.
 
 From _BIG coefficients on, Poly multiplies, divides and takes gcds on
-coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd); a
-division goes there only when its divisor has _BIG // 4 coefficients too.  The
-reference below works on coefficient lists with FqElem operations only, so
-it shares nothing with those paths; lengths on both sides of _BIG also check
-that the two routes meet at the threshold.
+coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd).  Below
+that, a field with its table multiplies, divides, takes gcds and valuations
+on the discrete logs of the coefficients (_log_mul, _log_div, _log_gcd),
+and there a division waits for a divisor of _BIG coefficients and a gcd for
+2e _BIG before they move to arrays; a field without a table loops over its
+elements, and moves to arrays once an operand has _BIG coefficients (a
+division, once its divisor has _BIG // 4).  The reference below works on
+coefficient lists with FqElem operations only, so it shares nothing with
+the array and log paths; lengths on both sides of each threshold also check
+that the routes meet there.
 """
 
 import functools
 
 import pytest
 
-from ffec.algebra import _BIG, Place, Poly, field_create, iter_monic_irreducibles
+from ffec.algebra import (
+    _BIG, Place, Poly, field_create, is_irreducible, iter_monic_irreducibles)
 
 SMALL = [(p, e) for p in range(2, 65) if all(p % d for d in range(2, p))
          for e in range(1, 7) if p ** e <= 64]
@@ -58,10 +64,21 @@ def ref_gcd(a, b, zero):
     return [c / a[-1] for c in a] if a else a
 
 
-def rand_poly(F, n, rng, els):
-    """A polynomial with exactly n coefficients."""
-    cs = [rng.choice(els) for _ in range(n - 1)]
-    return Poly(F, cs + [rng.choice(els[1:])])
+def ref_valuation(a, g, zero):
+    """How often the monic g divides a != 0."""
+    v = 0
+    while len(a) >= len(g):
+        q, r = ref_divmod(a, g, zero)
+        if any(r):
+            break
+        a, v = q, v + 1
+    return v
+
+
+def rand_poly(F, n, rng):
+    """A polynomial with exactly n coefficients, drawn by their codes."""
+    cs = [F._make(rng.randrange(F.q)) for _ in range(n - 1)]
+    return Poly(F, cs + [F._make(rng.randrange(1, F.q))])
 
 
 @pytest.fixture(params=list(FIELDS), scope="module")
@@ -122,27 +139,27 @@ def test_codes_above_int64(rng):
 
 
 def test_mul_matches_schoolbook(field, rng):
-    F, els = field
+    F, _ = field
     for n in LENGTHS:
-        a = rand_poly(F, n, rng, els)
+        a = rand_poly(F, n, rng)
         for m in (n, 2, n // 3 + 1):
-            b = rand_poly(F, m, rng, els)
+            b = rand_poly(F, m, rng)
             assert a * b == Poly(F, ref_mul(a.coeffs, b.coeffs, F.zero))
 
 
 def test_divmod_matches_schoolbook(field, rng):
     F, els = field
     for n in LENGTHS:
-        a = rand_poly(F, n, rng, els)
+        a = rand_poly(F, n, rng)
         # divisors short of _BIG // 4 take the loop even for a long dividend
         for m in (n // 2, n, 1, 2, _BIG // 4 - 1, _BIG // 4, _BIG // 4 + 1):
-            b = rand_poly(F, m, rng, els)
+            b = rand_poly(F, m, rng)
             q, r = divmod(a, b)
             wq, wr = ref_divmod(a.coeffs, b.coeffs, F.zero)
             assert (q, r) == (Poly(F, wq), Poly(F, wr))
             assert r.degree < b.degree
         # a divisor with a leading coefficient other than 1
-        b = rand_poly(F, n // 2, rng, els)
+        b = rand_poly(F, n // 2, rng)
         if F.q > 2:
             c = next(x for x in els[1:] if x is not F.one)
             b = b * Poly.const(c / b.lc())
@@ -150,21 +167,21 @@ def test_divmod_matches_schoolbook(field, rng):
         q, r = divmod(a, b)
         assert q * b + r == a and r.degree < b.degree
         # a divisor longer than the dividend
-        long = rand_poly(F, n + 3, rng, els)
+        long = rand_poly(F, n + 3, rng)
         assert divmod(a, long) == (Poly.zero(F), a)
         # an exact division
-        c = rand_poly(F, n // 2 + 1, rng, els)
+        c = rand_poly(F, n // 2 + 1, rng)
         q, r = divmod(c * b, b)
         assert (q, r) == (c, Poly.zero(F))
         assert (c * b).exact_div(c) == b
 
 
 def test_gcd_matches_schoolbook(field, rng):
-    F, els = field
+    F, _ = field
     zero = Poly.zero(F)
     for n in LENGTHS:
-        a = rand_poly(F, n, rng, els)
-        b = rand_poly(F, n - 5, rng, els)
+        a = rand_poly(F, n, rng)
+        b = rand_poly(F, n - 5, rng)
         assert a.gcd(b) == Poly(F, ref_gcd(a.coeffs, b.coeffs, F.zero))
         # a zero operand: the gcd is the other one made monic
         assert a.gcd(zero) == zero.gcd(a) == a.monic()
@@ -172,7 +189,98 @@ def test_gcd_matches_schoolbook(field, rng):
         # a coprime pair: u and u + 1
         assert a.gcd(a + 1).is_one() and (a + 1).gcd(a).is_one()
         # a common factor of known degree: gcd(g u, g (u + 1)) = g made monic
-        g = rand_poly(F, n // 3 + 2, rng, els)
-        u = rand_poly(F, n - n // 3, rng, els)
+        g = rand_poly(F, n // 3 + 2, rng)
+        u = rand_poly(F, n - n // 3, rng)
         got = (g * u).gcd(g * (u + 1))
         assert got.degree == g.degree and got == g.monic()
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (5, 1), (2, 2), (3, 2), (7, 2)])
+def test_gcd_meets_the_arrays_at_2e_big(p, e, rng):
+    # with a table, the gcd leaves the log loop at 2e _BIG coefficients (the
+    # reference takes O(n^2) operations, so e stays small)
+    F = field_create(p, e)
+    F.zech()
+    for n in (2 * F.e * _BIG - 1, 2 * F.e * _BIG):
+        a, b = rand_poly(F, n, rng), rand_poly(F, n - 7, rng)
+        assert a.gcd(b) == Poly(F, ref_gcd(a.coeffs, b.coeffs, F.zero))
+        g = rand_poly(F, n // 3, rng)
+        u = rand_poly(F, n - n // 3 + 1, rng)
+        assert (g * u).gcd(g * (u + 1)) == g.monic()
+
+
+# Below the arrays: every field with q <= 64 on logs (the fixture builds the
+# tables, F_2 among them, where M = 1 and every index wraps), and fields
+# without a table on the loop over elements.
+
+SHORT = [1, 2, 3, 4, 7, 12, 20, 33]
+
+
+def _monic_irreducible(F, d, rng):
+    while True:
+        g = Poly(F, [F._make(rng.randrange(F.q)) for _ in range(d)] + [1])
+        if is_irreducible(g):
+            return g
+
+
+def _check_short(F, rng, lengths):
+    zero = Poly.zero(F)
+    for n in lengths:
+        a = rand_poly(F, n, rng)
+        # a constant, a linear and an equal-length operand, and a divisor
+        # longer than the dividend
+        for m in sorted({1, 2, n // 2 + 1, n, n + 3}):
+            b = rand_poly(F, m, rng)
+            assert a * b == b * a == Poly(F, ref_mul(a.coeffs, b.coeffs, F.zero))
+            q, r = divmod(a, b)
+            wq, wr = ref_divmod(a.coeffs, b.coeffs, F.zero)
+            assert (q, r) == (Poly(F, wq), Poly(F, wr))
+            assert a.gcd(b) == b.gcd(a) == Poly(F, ref_gcd(a.coeffs, b.coeffs, F.zero))
+            # an exact division and a gcd of known degree
+            assert (a * b).exact_div(b) == a
+            if m > 1:
+                assert (a * b).gcd(b * (a + 1)) == b.monic()
+        assert a * zero == zero * a == zero
+        assert divmod(zero, a) == (zero, zero)
+        assert a.gcd(zero) == zero.gcd(a) == a.monic()
+    assert zero.gcd(zero) == zero
+
+
+def _check_valuations(F, rng, degrees):
+    # v_g(g^k h) = k + v_g(h), with h of a few coefficients, a constant
+    # among them, and the reference's own count of divisions for v_g(h)
+    for d in degrees:
+        g = _monic_irreducible(F, d, rng)
+        v = Place.finite(g)
+        for k in (0, 1, 2, 5):
+            for n in (1, 2, 3 * d + 1):
+                h = rand_poly(F, n, rng)
+                want = k + ref_valuation(list(h.coeffs), g.coeffs, F.zero)
+                assert v.valuation_poly(g ** k * h) == want
+        assert v.valuation_poly(g * g) == 2
+        assert v.valuation_poly(g + 1) == 0
+
+
+def test_short_ops_on_logs_match_schoolbook(field, rng):
+    F, _ = field
+    assert F._table is not None
+    _check_short(F, rng, SHORT)
+    _check_valuations(F, rng, (1, 2, 3))
+
+
+def _residue_field(p, d, rng):
+    """The residue field of a random place of degree d over F_p, new to this
+    test, so it has no table yet."""
+    return Place.finite(_monic_irreducible(field_create(p), d, rng)).residue_field()
+
+
+# F_{2^16} and F_{3^10} build their tables only after q operations on codes,
+# and F_{2^17} is above the cap
+@pytest.mark.parametrize("p, d", [(2, 16), (3, 10), (2, 17)])
+def test_short_ops_on_elements_match_schoolbook(p, d, rng):
+    F = _residue_field(p, d, rng)
+    assert F._table is None
+    _check_short(F, rng, SHORT[:6])
+    _check_valuations(F, rng, (1, 2))
+    # so every operation above ran the loop over elements
+    assert F._table is None
