@@ -22,7 +22,6 @@ from .weierstrass import (
     Transform,
     base_change_pow,
     classify,
-    extend_constants,
     format_curve_file,
     minimal_polynomial_model,
     parse_curve_file,

@@ -34,14 +34,17 @@ PLACE_CAP = 1 << 16
 # coefficients.  Below that a field with its table runs loops on discrete
 # logs (_log_mul, _log_div, _log_gcd), and a field without one its loops
 # over elements.  An array step costs e numpy row operations where the log
-# loop does one lookup per coefficient, so with a table a division waits for
-# a divisor of _BIG coefficients and a gcd for 2e _BIG; without one a
-# division goes to arrays once its divisor has _BIG // 4.  Timed on dense
-# random polynomials, log loop against array: a product of 65 by 65
-# coefficients 0.067 against 0.022 ms over F_2; a division of 129 by 33
-# 0.19 against 0.37 ms over F_64, of 129 by 65 0.21 against 0.14 over F_9;
-# a gcd at 129 coefficients 0.38 against 0.41 ms over F_2, at 257 4.6
-# against 4.1 over F_9, at 769 47 against 101 over F_64.
+# loop does one lookup per coefficient, so with a table a product waits for
+# its shorter factor to have _BIG // 4 coefficients, a division for a
+# divisor of _BIG and a gcd for 2e _BIG; without one a product goes to
+# arrays at once and a division once its divisor has _BIG // 4.  Timed on
+# dense random polynomials, log loop against array: a product of 65 by 8
+# coefficients 0.033 against 0.061 ms over F_2 and 0.059 against 0.175
+# over F_64, of 65 by 16 0.141 against 0.072 over F_9, of 65 by 65 0.151
+# against 0.079 over F_2; a division of 129 by 33 0.19 against 0.37 ms over
+# F_64, of 129 by 65 0.21 against 0.14 over F_9; a gcd at 129 coefficients
+# 0.38 against 0.41 ms over F_2, at 257 4.6 against 4.1 over F_9, at 769
+# 47 against 101 over F_64.
 _BIG = 64
 
 
@@ -898,9 +901,11 @@ class Poly:
             if c is self.field.one:
                 return self
             return Poly._of(self.field, tuple(x * c for x in a))
-        if max(len(a), len(b)) >= _BIG:
+        # with a table, a short factor keeps the product in the log loop:
+        # len(a) len(b) lookups, where arrays first pay a few numpy calls
+        T, short = self.field._table, min(len(a), len(b))
+        if max(len(a), len(b)) >= _BIG and (T is None or short >= _BIG // 4):
             return Poly._of(self.field, _array_mul(self.field, a, b))
-        T = self.field._table
         if T is not None:
             return _log_poly(self.field, _log_mul(T, a, b))
         z = self.field.zero

@@ -130,13 +130,18 @@ def _subfield_exponent(E: Curve) -> int:
 
 
 def _descend_curve(E: Curve, ep: int) -> Curve:
-    """Rewrite E over the subfield F_{p^e'} its coefficients live in."""
+    """Rewrite E over the subfield F_{p^e'} its coefficients live in.  Its
+    discriminant, a polynomial in them, lives there too and is mapped back
+    the same way."""
     F = E.field
     sub = field_create(F.p, ep)
     embed = constant_embedding(sub, F)
     back = {embed(x): x for x in sub.elements()}
-    cs = [r.map_coeffs(lambda c: back[c], sub) for r in E.coeffs]
-    return Curve(sub, *cs, var=E.var)
+
+    def down(r):
+        return r.map_coeffs(lambda c: back[c], sub)
+
+    return Curve._derived(sub, [down(r) for r in E.coeffs], down(E.delta), E.var)
 
 
 def _power_sums(coeffs, upto: int):

@@ -6,8 +6,11 @@ WEIGHTS, b_invariants, c_invariants, discriminant and translate (the change
 of coordinates with u = 1) serve Curve, Transform, classify and Tate's
 algorithm in local alike, whether the coefficients are rational functions,
 polynomials or residue-field elements.  A Curve is its five coefficients
-and its discriminant, computed once on the coefficients cleared of their
-denominators (clear_denominators, which local uses too); c4, c6 and j are
+and its discriminant.  Only a curve built from given coefficients computes
+its discriminant, on those coefficients cleared of their denominators
+(clear_denominators, which local uses too); a curve derived from another
+(base_change_pow, Transform.apply, the constant-field descent in lfunction)
+carries the other's discriminant through the same map.  c4, c6 and j are
 computed once, by classify, for the curve's one analysis, c4 and c6 on the
 same cleared coefficients.
 """
@@ -200,8 +203,16 @@ def ws_scalar_mul(a, n: int, P: CurvePoint) -> CurvePoint:
 class Curve:
     """An elliptic curve y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over
     F_q(t), with exact rational-function coefficients and its discriminant
-    delta.  delta is computed on the coefficients cleared of their
-    denominators: with D their lcm, delta = discriminant(a_i D^i) / D^12."""
+    delta.
+
+    Curve(...) builds a curve from given coefficients (a file, the catalog,
+    a family): it computes delta on the coefficients cleared of their
+    denominators, delta = discriminant(a_i D^i) / D^12 with D their lcm,
+    and raises NotEllipticError when delta is 0.  A curve derived from
+    another comes from Curve._derived, which takes delta mapped the way the
+    coefficients were: a ring map for base change and descent, u^-12 for a
+    change of coordinates.  Those maps are injective, so a nonzero delta
+    stays nonzero and needs no check."""
 
     __slots__ = ("field", "a1", "a2", "a3", "a4", "a6", "var", "delta")
 
@@ -218,6 +229,18 @@ class Curve:
         if not delta:
             raise NotEllipticError("discriminant is zero: not an elliptic curve")
         self.delta = RatFunc(delta, D ** 12)
+
+    @classmethod
+    def _derived(cls, field: Fq, coeffs, delta: RatFunc, var: str) -> "Curve":
+        """The curve with the five rational functions coeffs over field and
+        their discriminant delta, both derived from another curve by the
+        same map: nothing is computed or checked."""
+        E = object.__new__(cls)
+        E.field = field
+        E.a1, E.a2, E.a3, E.a4, E.a6 = coeffs
+        E.var = var
+        E.delta = delta
+        return E
 
     @property
     def coeffs(self):
@@ -299,9 +322,13 @@ class Transform:
                 and self.s.is_zero() and self.w.is_zero())
 
     def apply(self, E: Curve) -> Curve:
+        """The model of E in the new coordinates.  r, s and w leave the
+        discriminant fixed and u scales it by u^-12 (Silverman, AEC,
+        Table 3.1), so E.delta / u^12 is the new one."""
         a = translate(E.coeffs, self.r, self.s, self.w)
         u = self.u
-        return Curve(E.field, *(ai / u ** i for i, ai in zip(WEIGHTS, a)), var=E.var)
+        return Curve._derived(E.field, [ai / u ** i for i, ai in zip(WEIGHTS, a)],
+                              E.delta / u ** 12, E.var)
 
     def apply_point(self, P: CurvePoint) -> CurvePoint:
         """Coordinates of P on the transformed model."""
@@ -415,21 +442,15 @@ def classify(E: Curve) -> Classification:
     )
 
 
-def frobenius_twist(E: Curve) -> Curve:
-    """Apply the p-th power Frobenius to every coefficient (not to t)."""
-    p = E.field.p
-    cs = [ai.map_coeffs(lambda c: c ** p) for ai in E.coeffs]
-    return Curve(E.field, *cs, var=E.var)
-
-
 def base_change_pow(E: Curve, d: int) -> Curve:
-    """Pull back along t = u^d.  The new curve lives over F_q(u)."""
+    """Pull back along t = u^d.  The new curve lives over F_q(u); t -> u^d
+    is a ring homomorphism, so its discriminant is E's with t = u^d."""
     if d < 1:
         raise ValueError("d must be >= 1")
     if d % E.field.p == 0:
         raise ValueError("d must be prime to the characteristic")
     cs = [ai.compose_power(d) for ai in E.coeffs]
-    return Curve(E.field, *cs, var="u")
+    return Curve._derived(E.field, cs, E.delta.compose_power(d), "u")
 
 
 def constant_embedding(field: Fq, ext: Fq):
@@ -454,19 +475,6 @@ def constant_embedding(field: Fq, ext: Fq):
         return acc
 
     return embed
-
-
-def extend_constants(E: Curve, m: int) -> Curve:
-    """Base change along the constant field extension F_q -> F_{q^m}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if m == 1:
-        return E
-    field = E.field
-    ext = field_create(field.p, field.e * m)
-    embed = constant_embedding(field, ext)
-    cs = [ai.map_coeffs(embed, ext) for ai in E.coeffs]
-    return Curve(ext, *cs, var=E.var)
 
 
 # Hasse invariant and p-torsion ------------------------------------------------

@@ -23,7 +23,6 @@ from ffec.weierstrass import (
     Curve,
     base_change_pow,
     classify,
-    extend_constants,
     minimal_polynomial_model,
 )
 from ffec import catalog
@@ -44,6 +43,7 @@ from ffec.lfunction import (
     _from_power_sums,
     _power_sums,
 )
+from oracles import extend_constants
 
 F2 = field_create(2)
 F3 = field_create(3)

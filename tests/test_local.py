@@ -31,8 +31,8 @@ from ffec.local import (
     tate_type,
     torsion_bound,
 )
-from ffec.weierstrass import (Curve, NotEllipticError, Transform, c_invariants,
-                              extend_constants)
+from ffec.weierstrass import Curve, NotEllipticError, Transform, c_invariants
+from oracles import extend_constants
 from test_lfunction import _draw_curve
 
 F2 = field_create(2)

@@ -4,13 +4,13 @@ From _BIG coefficients on, Poly multiplies, divides and takes gcds on
 coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd).  Below
 that, a field with its table multiplies, divides, takes gcds and valuations
 on the discrete logs of the coefficients (_log_mul, _log_div, _log_gcd),
-and there a division waits for a divisor of _BIG coefficients and a gcd for
-2e _BIG before they move to arrays; a field without a table loops over its
-elements, and moves to arrays once an operand has _BIG coefficients (a
-division, once its divisor has _BIG // 4).  The reference below works on
-coefficient lists with FqElem operations only, so it shares nothing with
-the array and log paths; lengths on both sides of each threshold also check
-that the routes meet there.
+and there a product waits for a shorter factor of _BIG // 4 coefficients, a
+division for a divisor of _BIG and a gcd for 2e _BIG before they move to
+arrays; a field without a table loops over its elements, and moves to arrays
+once an operand has _BIG coefficients (a division, once its divisor has
+_BIG // 4).  The reference below works on coefficient lists with FqElem
+operations only, so it shares nothing with the array and log paths; lengths
+on both sides of each threshold also check that the routes meet there.
 """
 
 import functools
@@ -142,9 +142,11 @@ def test_mul_matches_schoolbook(field, rng):
     F, _ = field
     for n in LENGTHS:
         a = rand_poly(F, n, rng)
-        for m in (n, 2, n // 3 + 1):
+        # a short factor keeps a long product in the log loop
+        for m in (n, 2, n // 3 + 1, _BIG // 4 - 1, _BIG // 4):
             b = rand_poly(F, m, rng)
             assert a * b == Poly(F, ref_mul(a.coeffs, b.coeffs, F.zero))
+            assert b * a == a * b
 
 
 def test_divmod_matches_schoolbook(field, rng):

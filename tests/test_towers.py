@@ -6,7 +6,7 @@ import pytest
 
 from ffec.algebra import (CapError, FFECError, Place, Poly, field_create, mult_order,
                           parse_ratfunc)
-from ffec.weierstrass import Curve, base_change_pow, extend_constants
+from ffec.weierstrass import Curve, base_change_pow
 from ffec import catalog
 from ffec.lfunction import analytic_rank, l_polynomial
 from ffec.local import conductor
@@ -23,6 +23,7 @@ from ffec.towers import (
     rank_growth_scan,
     tower_l,
 )
+from oracles import extend_constants
 from test_lfunction import _reference_series
 
 F2 = field_create(2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ffec import catalog
+from ffec import catalog, weierstrass
 from ffec.algebra import (
     FFECError,
     ParseError,
@@ -25,9 +25,7 @@ from ffec.weierstrass import (
     classify,
     constant_embedding,
     discriminant,
-    extend_constants,
     format_curve_file,
-    frobenius_twist,
     has_p_torsion,
     hasse_invariant,
     minimal_polynomial_model,
@@ -35,6 +33,8 @@ from ffec.weierstrass import (
     translate,
 )
 from ffec.heights_points import legendre_family
+from ffec.lfunction import _descend_curve, _subfield_exponent, l_polynomial
+from oracles import extend_constants, frobenius_twist
 
 F2 = field_create(2)
 F3 = field_create(3)
@@ -99,11 +99,17 @@ def test_invariant_identities():
 @pytest.mark.parametrize("F", [F2, F3, F4, F5, F7, field_create(2, 3), field_create(3, 2)],
                          ids=repr)
 def test_curve_delta_matches_ratfunc_discriminant(F, rng):
-    """Curve.delta, taken on the coefficients cleared of their denominators,
-    is the discriminant in RatFunc arithmetic, on models with rational
-    coefficients (random transforms with rational u, r, s and w) and on
-    base-change layers of both; classify's c4 and c6, taken the same way,
-    are those of RatFunc arithmetic too."""
+    """Curve.delta, taken on the coefficients cleared of their denominators
+    or carried along from the curve another one is derived from, is the
+    discriminant in RatFunc arithmetic.  The curves are models with
+    rational coefficients (random transforms with rational u, r, s and w),
+    base-change layers of both, and descents back to F of their extensions
+    to F_{q^2} after a further transform, and a base change, up there;
+    classify's c4 and c6, taken on cleared coefficients, are those of
+    RatFunc arithmetic too."""
+    FK = field_create(F.p, 2 * F.e)
+    embed = constant_embedding(F, FK)
+    d_up = 2 if F.p == 3 else 3
     curves = []
     for E in (catalog.e7(F), _dense_curve(F)):
         for _ in range(4):
@@ -112,6 +118,14 @@ def test_curve_delta_matches_ratfunc_discriminant(F, rng):
             for d in (2, 3, 5):
                 if d % F.p:
                     curves += [base_change_pow(E, d), base_change_pow(E2, d)]
+            EK = extend_constants(E2, 2)
+            assert _descend_curve(EK, F.e) == E2
+            tau = _rand_transform(F, rng).map(lambda r: r.map_coeffs(embed, FK))
+            XK = tau.apply(EK)
+            for X in (XK, base_change_pow(XK, d_up)):
+                down = _descend_curve(X, F.e)
+                assert down.field is F
+                curves.append(down)
     assert any(a.den.degree for E in curves for a in E.coeffs)
     for E in curves:
         assert E.delta == discriminant(*E.coeffs)
@@ -119,6 +133,32 @@ def test_curve_delta_matches_ratfunc_discriminant(F, rng):
         assert c4**3 - c6**2 == 1728 * E.delta
         cls = classify(E)
         assert (cls.c4, cls.c6) == (c4, c6)
+
+
+def test_derived_curves_compute_no_discriminant(monkeypatch):
+    """Only a curve built from given coefficients computes its
+    discriminant: base change, a change of coordinates and the descent in
+    l_polynomial carry it through the same map as the coefficients."""
+    t = RatFunc.t(F4)
+    E = catalog.first_example(F4)
+    tau = Transform.make(F4, u=t + 1, r=t, s=1, w=t * t)
+
+    def computed(*a):
+        raise AssertionError("discriminant computed")
+
+    with monkeypatch.context() as m:
+        m.setattr(weierstrass, "discriminant", computed)
+        with pytest.raises(AssertionError, match="discriminant computed"):
+            Curve(F4, a1=1, a6=t)
+        layer = base_change_pow(E, 3)
+        moved = tau.apply(E)
+        model = classify(moved).model
+        L = l_polynomial(E)
+        L_moved = l_polynomial(moved)
+    assert _subfield_exponent(E) == 1
+    for X in (layer, moved, model):
+        assert X.delta == discriminant(*X.coeffs)
+    assert L == L_moved == l_polynomial(E, descend=False)
 
 
 def test_singular_model_rejected():
