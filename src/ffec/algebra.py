@@ -34,18 +34,30 @@ PLACE_CAP = 1 << 16
 # coefficients.  Below that a field with its table runs loops on discrete
 # logs (_log_mul, _log_div, _log_gcd), and a field without one its loops
 # over elements.  An array step costs e numpy row operations where the log
-# loop does one lookup per coefficient, so with a table a product waits for
-# its shorter factor to have _BIG // 4 coefficients, a division for a
-# divisor of _BIG and a gcd for 2e _BIG; without one a product goes to
-# arrays at once and a division once its divisor has _BIG // 4.  Timed on
-# dense random polynomials, log loop against array: a product of 65 by 8
-# coefficients 0.033 against 0.061 ms over F_2 and 0.059 against 0.175
+# loop does one lookup per coefficient, so with a table a division waits
+# for a divisor of _BIG and a gcd for 2e _BIG, and a product for its
+# shorter factor to have _mul_short(e) coefficients: _BIG // 4 up to e = 6,
+# four times more for each degree above, since the big-integer product of
+# _array_mul grows faster than e^2 while the log loop does not grow with e.
+# Without a table a product or a division goes to arrays at once.  Timed
+# on dense random polynomials, log loop against array: a product of 65 by
+# 8 coefficients 0.033 against 0.061 ms over F_2 and 0.059 against 0.175
 # over F_64, of 65 by 16 0.141 against 0.072 over F_9, of 65 by 65 0.151
-# against 0.079 over F_2; a division of 129 by 33 0.19 against 0.37 ms over
-# F_64, of 129 by 65 0.21 against 0.14 over F_9; a gcd at 129 coefficients
-# 0.38 against 0.41 ms over F_2, at 257 4.6 against 4.1 over F_9, at 769
-# 47 against 101 over F_64.
+# against 0.079 over F_2, 0.40 against 0.25 over F_64, 0.41 against 0.33
+# over F_128, 0.47 against 0.50 over F_256 and 0.47 against 3.42 over
+# F_{2^16}; of 257 by 129 3.8 against 5.0 ms over F_{2^10}; a division of
+# 129 by 33 0.19 against 0.37 ms over F_64, of 129 by 65 0.21 against 0.14
+# over F_9, and with no table of 129 by 9 20.8 against 1.9 ms over
+# F_{3^10} and 0.31 against 0.37 over F_2; a gcd at 129 coefficients 0.38
+# against 0.41 ms over F_2, at 257 4.6 against 4.1 over F_9, at 769 47
+# against 101 over F_64.
 _BIG = 64
+
+
+def _mul_short(e: int) -> int:
+    """The length of the shorter factor from which a product over a field
+    of degree e with a table runs on arrays."""
+    return _BIG // 4 << 2 * max(0, e - 6)
 
 
 class FFECError(Exception):
@@ -904,7 +916,7 @@ class Poly:
         # with a table, a short factor keeps the product in the log loop:
         # len(a) len(b) lookups, where arrays first pay a few numpy calls
         T, short = self.field._table, min(len(a), len(b))
-        if max(len(a), len(b)) >= _BIG and (T is None or short >= _BIG // 4):
+        if max(len(a), len(b)) >= _BIG and (T is None or short >= _mul_short(self.field.e)):
             return Poly._of(self.field, _array_mul(self.field, a, b))
         if T is not None:
             return _log_poly(self.field, _log_mul(T, a, b))
@@ -941,15 +953,17 @@ class Poly:
         dq = len(self.coeffs) - len(o.coeffs)
         if dq < 0:
             return Poly.zero(self.field), self
-        # an array step costs a few numpy calls where a loop does len(o)
-        # steps, so a short divisor stays in the loop
+        # an array step costs a few numpy calls where a log loop does
+        # len(o) lookups, so with a table a short divisor stays in the
+        # loop; without one a long dividend goes to arrays whatever its
+        # divisor, since the element loop pays a field operation a term
         T = self.field._table
         if T is not None and len(o.coeffs) < _BIG:
             cs = [c.log for c in self.coeffs]
             _log_div(T, cs, [c.log for c in o.coeffs])
             d = len(o.coeffs) - 1
             return _log_poly(self.field, cs[d:]), _log_poly(self.field, cs[:d])
-        if len(self.coeffs) >= _BIG and len(o.coeffs) >= _BIG // 4:
+        if len(self.coeffs) >= _BIG:
             q, r = _array_divmod(self.field, self.coeffs, o.coeffs)
             return Poly._of(self.field, q), Poly._of(self.field, r)
         inv = o.coeffs[-1].inverse()

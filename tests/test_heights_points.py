@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from ffec.algebra import FFECError, Poly, RatFunc, field_create, parse_ratfunc, row_reduce
+from ffec import weierstrass
+from ffec.algebra import (
+    FFECError, Place, Poly, RatFunc, factor_poly, field_create, parse_ratfunc, row_reduce)
 from ffec.weierstrass import (
     Curve,
     CurvePoint,
@@ -38,7 +40,7 @@ from ffec.heights_points import (
     points_report,
 )
 from ffec.lfunction import analytic_rank, l_polynomial
-from ffec.local import curve_analysis, minimal_model_at, torsion_bound
+from ffec.local import KodairaType, LocalData, curve_analysis, minimal_model_at, torsion_bound
 
 F9 = field_create(3, 2)
 
@@ -510,3 +512,230 @@ def test_heights_build_no_model(monkeypatch):
         for P in pts:
             canonical_height(C, P)
     assert applied == []
+
+
+# Shioda's pairing against the group law: height_pairing and family_gram
+# read <P, Q> off local data, gram_matrix adds P + Q
+
+
+def _grid(E, base):
+    """base, the sums and differences of its first three, their negatives
+    and doubles, with O left out."""
+    pts = list(base)
+    for P, Q in itertools.combinations(base[:3], 2):
+        pts += [E.add(P, Q), E.add(P, E.neg(Q))]
+    pts += [E.neg(P) for P in base[:3]] + [E.scalar_mul(2, P) for P in base[:3]]
+    return [P for P in pts if not P.is_infinity]
+
+
+def _no_group_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the group law was called")
+    monkeypatch.setattr(weierstrass, "ws_add", refuse)
+
+
+def assert_shioda_is_gram(E, pts, monkeypatch):
+    """height_pairing on every pair equals gram_matrix, computed first; the
+    pairings run with the group law refused."""
+    want = gram_matrix(E, pts)
+    with monkeypatch.context() as m:
+        _no_group_law(m)
+        got = [[height_pairing(E, P, Q).value for Q in pts] for P in pts]
+    assert got == want
+
+
+def _meets(E, P, kinds):
+    """The places of S, by Kodaira type, where P meets a component other
+    than the identity's."""
+    data = heights_points._curve_heights(E)
+    at = heights_points._point_heights(data, P).at
+    return {str(loc.type) for loc, a in zip(data.places, at)
+            if a.comp is not None and loc.type.kind in kinds}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shioda_matches_group_law_on_legendre_grid(p, monkeypatch):
+    fam = legendre_family(p)
+    assert_shioda_is_gram(fam.curve, _grid(fam.curve, fam.points[:3]), monkeypatch)
+
+
+def test_shioda_matches_group_law_on_additive_curves(monkeypatch):
+    """Brute-force points on ADDITIVE_CURVES with their sums, differences,
+    negatives and doubles; pairs of them meet the singular point of III,
+    IV and I0* fibers together."""
+    shared = set()
+    for (p, e), coeffs in ADDITIVE_CURVES:
+        E = _curve(p, e, **coeffs)
+        pts = _grid(E, brute_force_points(E)[:6])
+        assert_shioda_is_gram(E, pts, monkeypatch)
+        for P, Q in itertools.combinations(pts, 2):
+            shared |= _meets(E, P, ("III", "IV", "I*")) & _meets(E, Q, ("III", "IV", "I*"))
+    assert shared == {"III", "IV", "I0*"}
+
+
+def _poly_sqrt(f):
+    """The g with g^2 = f over a field of odd characteristic, or None."""
+    F = f.field
+    if not f or f.degree % 2:
+        return f if not f else None
+    k = f.degree // 2
+    top = F.sqrt(f.lc())
+    if top is None:
+        return None
+    g = [F.zero] * k + [top]
+    for i in range(k - 1, -1, -1):
+        s = sum((g[a] * g[k + i - a] for a in range(i + 1, k)), F.zero)
+        g[i] = (f[k + i] - s) / (2 * top)
+    g = Poly(F, g)
+    return g if g * g == f else None
+
+
+def square_root_points(E, dx, cap):
+    """Up to cap points (X, +-sqrt(X^3 + a2 X^2 + a4 X + a6)) on
+    y^2 = x^3 + a2 x^2 + a4 x + a6 with polynomial X of degree <= dx."""
+    F = E.field
+    a2, a4, a6 = (c.num for c in (E.a2, E.a4, E.a6))
+    found = []
+    for X in _polys(F, dx):
+        Y = _poly_sqrt(((X + a2) * X + a4) * X + a6)
+        if Y is not None:
+            found += [CurvePoint(RatFunc(X), RatFunc(y)) for y in {Y, -Y}]
+            if len(found) >= cap:
+                break
+    assert all(E.on_curve(P) for P in found)
+    return found
+
+
+# curves y^2 = x^3 + a2 x^2 + a4 x + a6 whose points of degree <= 3 meet
+# the far components of IV*, III* and I_n*, n = 1, 2, 3, 6, at t = 0, and
+# the types every one of their pairs meets together
+DEEP_CURVES = [
+    ((7, {"a6": "2*t^4 + t^6"}), {"IV*"}),
+    ((5, {"a4": "t^3", "a6": "t^5"}), {"III*"}),
+    ((5, {"a2": "t", "a6": "t^4"}), {"I1*"}),
+    ((5, {"a2": "t", "a4": "t^3"}), {"I2*"}),
+    ((5, {"a2": "t", "a6": "t^6"}), {"I3*"}),
+    ((5, {"a2": "t", "a4": "t^5"}), {"I6*", "III*"}),
+]
+
+
+@pytest.mark.parametrize("spec, types", DEEP_CURVES)
+def test_shioda_matches_group_law_at_deep_fibers(spec, types, monkeypatch):
+    """The rules for IV*, III* and I_n*, n >= 1: pairs on one component
+    and on two, and on I_n* the near component with a far one."""
+    p, coeffs = spec
+    E = _curve(p, 1, **coeffs)
+    pts = square_root_points(E, 3, 8)
+    pts = _grid(E, pts[:5]) + pts[5:]
+    assert_shioda_is_gram(E, pts, monkeypatch)
+    shared = set()
+    for P, Q in itertools.combinations(pts, 2):
+        shared |= _meets(E, P, ("III*", "IV*", "I*")) & _meets(E, Q, ("III*", "IV*", "I*"))
+    assert shared == types
+
+
+def test_shioda_matches_group_law_on_special_pairs(monkeypatch):
+    """P = Q and P = -Q, common poles off S with equal and unequal orders,
+    and the I2 and I3 fibers at the place t^2 + 1 of degree 2."""
+    fam = legendre_family(5)
+    E, P = fam.curve, fam.points[0]
+    assert height_pairing(E, P, P) == canonical_height(E, P)
+    assert height_pairing(E, P, E.neg(P)).value == -canonical_height(E, P).value
+    assert_shioda_is_gram(E, [P, E.neg(P), fam.points[3]], monkeypatch)
+    # R = A + B has poles off S; 2R and -R share them with the same order,
+    # and 3R, with p = 3, with a higher one
+    E = _curve(3, 1, a2="1", a4="t^2", a6="t^3")
+    A, *rest = brute_force_points(E)
+    B = next(Q for Q in rest if Q.x != A.x)
+    R = E.add(A, B)
+    bad = curve_analysis(E).cls.model.delta.num
+    off = R.x.den.exact_div(R.x.den.gcd(bad))
+    assert off.degree > 0
+    pts = [R, E.scalar_mul(2, R), E.neg(R), E.scalar_mul(3, R), A]
+    for Q in pts[1:4]:
+        assert Q.x.den.gcd(off).degree > 0
+    assert_shioda_is_gram(E, pts, monkeypatch)
+    for a6 in ("(t^2+1)^2", "(t^2+1)^3"):
+        E = _curve(3, 1, a1="1", a6=a6)
+        pts = brute_force_points(E)[:8]
+        v = curve_analysis(E).local[1].place
+        assert v.degree == 2
+        cases = [dict((repr(w), c) for w, c, _ in local_heights(E, P)[0])[repr(v)]
+                 for P in pts]
+        assert cases.count("b") >= 2
+        assert_shioda_is_gram(E, pts, monkeypatch)
+
+
+def test_shioda_on_nonminimal_models(monkeypatch):
+    """The models of test_nonminimal_model_gives_same_heights, where m > 0
+    at a good place, at II and at infinity, and one scaled by 1/pi^2 for a
+    good place pi where R, 2R and -R meet O: the same Gram matrix as on E."""
+    E = _curve(5, 1, a6="t^3 + t^2")
+    F = E.field
+    found = brute_force_points(E)
+    R = E.add(found[0], found[3])
+    pi = factor_poly(R.x.den)[1][0][0]
+    assert pi.gcd(curve_analysis(E).cls.model.delta.num).degree == 0
+    pts = found[:4] + [E.scalar_mul(2, P) for P in found[:2]] + \
+        [E.add(found[0], P) for P in found[1:3]] + [E.scalar_mul(2, R), E.neg(R)]
+    want = gram_matrix(E, pts)
+    transforms = [Transform.make(F, u=parse_ratfunc(u, F)).then(Transform.make(
+        F, r=parse_ratfunc(r, F), s=parse_ratfunc(s, F), w=parse_ratfunc(w, F)))
+        for u, r, s, w in (("1/(t-2)", "1", "0", "0"),
+                           ("1/(t^2+2)", "t+1", "t", "3"),
+                           ("t^2+t+1", "1", "0", "0"))]
+    # m = 2 there, above (R.O)_v = 1, so that r and w reach (R.2R)_v
+    transforms.append(Transform.make(F, u=RatFunc(Poly.one(F), pi * pi)).then(
+        Transform.make(F, r=1, s=2, w=3)))
+    for tau in transforms:
+        E1 = tau.apply(E)
+        assert any(loc.m for loc in heights_points._curve_heights(E1).places)
+        pts1 = [tau.apply_point(P) for P in pts]
+        assert gram_matrix(E1, pts1) == want
+        assert_shioda_is_gram(E1, pts1, monkeypatch)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_pairings_use_no_group_law(p, monkeypatch, rng):
+    fam = legendre_family(p)
+    E, pts = fam.curve, fam.points
+    want = gram_matrix(E, pts)
+    _no_group_law(monkeypatch)
+    for _ in range(4):
+        i, j = rng.sample(range(fam.d), 2)
+        assert height_pairing(E, pts[i], pts[j]).value == want[i][j]
+    assert family_gram(fam) == want
+    assert points_report(fam)["gram"] == [[str(x) for x in row] for row in want]
+
+
+def test_trivial_component_groups_read_the_pole_only(monkeypatch):
+    """A curve whose bad fibers are all I1, where every K-point meets the
+    identity component: neither heights nor pairings form psi2, fx or
+    psi3, and the heights still fall in the doubling bracket."""
+    E = _curve(5, 1, a4="2*t^4 + t^3 + 4*t^2 + 4*t + 1",
+               a6="3*t^6 + 4*t^4 + 4*t^2 + 3*t + 4")
+    assert {str(ld.type) for ld in curve_analysis(E).local} == {"I1"}
+    assert all(loc.trivial for loc in heights_points._curve_heights(E).places)
+    pts = [P for P in brute_force_points(E) if naive_height(P)][:4]
+    assert len(pts) == 4
+    want = gram_matrix(E, pts)
+
+    def refuse(self):
+        raise AssertionError("a valuation the pole term does not need")
+
+    for name in ("psi2", "fx", "psi3"):
+        monkeypatch.setattr(heights_points._OnM, name, property(refuse))
+    for P in pts:
+        assert_in_bracket(E, P, 4)
+    assert [[height_pairing(E, P, Q).value for Q in pts] for P in pts] == want
+
+
+@pytest.mark.parametrize("kind, n, split, trivial", [
+    ("I", 1, True, True), ("I", 3, False, True), ("I", 3, True, False),
+    ("I", 4, False, False), ("II", 0, None, True), ("II*", 0, None, True),
+    ("IV", 0, False, True), ("IV", 0, True, False), ("IV*", 0, False, True),
+    ("I*", 0, None, True), ("I*", 0, False, False), ("I*", 1, False, False),
+    ("III", 0, None, False), ("III*", 0, None, False)])
+def test_trivial_components(kind, n, split, trivial):
+    ld = LocalData(Place.infinite(F9), KodairaType(kind, n), 0, 0, split, 0, 0, None)
+    assert heights_points._trivial_components(ld) == trivial

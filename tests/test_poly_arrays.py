@@ -4,11 +4,11 @@ From _BIG coefficients on, Poly multiplies, divides and takes gcds on
 coordinate arrays (algebra._array_mul, _array_divmod, _array_gcd).  Below
 that, a field with its table multiplies, divides, takes gcds and valuations
 on the discrete logs of the coefficients (_log_mul, _log_div, _log_gcd),
-and there a product waits for a shorter factor of _BIG // 4 coefficients, a
+and there a product waits for a shorter factor of _mul_short(e)
+coefficients (_BIG // 4 up to e = 6, four times more per degree above), a
 division for a divisor of _BIG and a gcd for 2e _BIG before they move to
 arrays; a field without a table loops over its elements, and moves to arrays
-once an operand has _BIG coefficients (a division, once its divisor has
-_BIG // 4).  The reference below works on coefficient lists with FqElem
+once an operand has _BIG coefficients.  The reference below works on coefficient lists with FqElem
 operations only, so it shares nothing with the array and log paths; lengths
 on both sides of each threshold also check that the routes meet there.
 """
@@ -17,8 +17,9 @@ import functools
 
 import pytest
 
+from ffec import algebra
 from ffec.algebra import (
-    _BIG, Place, Poly, field_create, is_irreducible, iter_monic_irreducibles)
+    _BIG, Place, Poly, _mul_short, field_create, is_irreducible, iter_monic_irreducibles)
 
 SMALL = [(p, e) for p in range(2, 65) if all(p % d for d in range(2, p))
          for e in range(1, 7) if p ** e <= 64]
@@ -31,6 +32,7 @@ def _residue_field_over_f4():
 
 
 FIELDS = {f"F_{p}^{e}": functools.partial(field_create, p, e) for p, e in SMALL}
+FIELDS["F_2^7"] = functools.partial(field_create, 2, 7)
 FIELDS["F_2^16"] = functools.partial(field_create, 2, 16)
 FIELDS["deg-2 over F_4"] = _residue_field_over_f4
 
@@ -138,14 +140,31 @@ def test_codes_above_int64(rng):
     assert x.gcd(y) == Poly(F, ref_gcd(x.coeffs, y.coeffs, F.zero)) == g
 
 
-def test_mul_matches_schoolbook(field, rng):
+def _counting(monkeypatch, name):
+    """Count the calls to the array routine algebra.<name>."""
+    calls = []
+    real = getattr(algebra, name)
+    monkeypatch.setattr(algebra, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_mul_matches_schoolbook(field, rng, monkeypatch):
     F, _ = field
+    s = _mul_short(F.e)
+    # F_4 ... F_64 keep _BIG // 4
+    assert s == {7: _BIG, 16: _BIG // 4 << 20}.get(F.e, _BIG // 4)
+    # a short factor keeps a long product in the log loop; over F_2^7 the
+    # shorter factor moves to arrays at 64 coefficients, not 16, and over
+    # F_2^16 no product here reaches them
+    edge = (s - 1, s) if s <= 4 * _BIG else ()
+    arrays = _counting(monkeypatch, "_array_mul")
     for n in LENGTHS:
         a = rand_poly(F, n, rng)
-        # a short factor keeps a long product in the log loop
-        for m in (n, 2, n // 3 + 1, _BIG // 4 - 1, _BIG // 4):
+        for m in (n, 2, n // 3 + 1, _BIG // 4 - 1, _BIG // 4) + edge:
             b = rand_poly(F, m, rng)
+            before = len(arrays)
             assert a * b == Poly(F, ref_mul(a.coeffs, b.coeffs, F.zero))
+            assert len(arrays) - before == (max(n, m) >= _BIG and min(n, m) >= s)
             assert b * a == a * b
 
 
@@ -153,7 +172,8 @@ def test_divmod_matches_schoolbook(field, rng):
     F, els = field
     for n in LENGTHS:
         a = rand_poly(F, n, rng)
-        # divisors short of _BIG // 4 take the loop even for a long dividend
+        # with a table, divisors short of _BIG take the log loop even for a
+        # long dividend
         for m in (n // 2, n, 1, 2, _BIG // 4 - 1, _BIG // 4, _BIG // 4 + 1):
             b = rand_poly(F, m, rng)
             q, r = divmod(a, b)
@@ -285,4 +305,25 @@ def test_short_ops_on_elements_match_schoolbook(p, d, rng):
     _check_short(F, rng, SHORT[:6])
     _check_valuations(F, rng, (1, 2))
     # so every operation above ran the loop over elements
+    assert F._table is None
+
+
+@pytest.mark.parametrize("p, d", [(2, 16), (3, 10)])
+def test_division_without_table_meets_the_arrays_at_big(p, d, rng, monkeypatch):
+    # with no table a dividend of _BIG coefficients goes to arrays however
+    # short its divisor, and one of _BIG - 1 stays in the loop over elements
+    F = _residue_field(p, d, rng)
+    # the field may share its modulus with an earlier test's: keep it from
+    # building its table mid-test
+    assert F._table is None
+    monkeypatch.setattr(F, "_ops_left", -1)
+    arrays = _counting(monkeypatch, "_array_divmod")
+    for n in (_BIG - 1, _BIG):
+        a = rand_poly(F, n, rng)
+        for m in (2, 9, _BIG // 4 - 1):
+            b = rand_poly(F, m, rng)
+            before = len(arrays)
+            wq, wr = ref_divmod(a.coeffs, b.coeffs, F.zero)
+            assert divmod(a, b) == (Poly(F, wq), Poly(F, wr))
+            assert len(arrays) - before == (n >= _BIG)
     assert F._table is None
