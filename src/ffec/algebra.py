@@ -1696,21 +1696,31 @@ class Place:
         return kappa.element(r.coeffs)
 
     def valuation_poly(self, f: Poly):
+        """v(f) for a polynomial f: +inf for f = 0, -deg f at infinity, the
+        number of zero low coefficients of f at the place t, and otherwise
+        the number of times the place polynomial divides f."""
         if f.is_zero():
             return POS_INF
         if self.poly is None:
             return -int(f.degree)
+        pc = self.poly.coeffs
+        d = len(pc) - 1
+        if d == 1 and not pc[0]:
+            # the place t: f is nonzero, so its top coefficient ends the count
+            cs, zero, v = f.coeffs, self.field.zero, 0
+            while cs[v] is zero:
+                v += 1
+            return v
         # repeated synthetic division by the monic g of degree d on one
         # coefficient list, on logs where the field has its table: after a
         # pass cs[:d] is the remainder and cs[d:] the quotient
-        d = len(self.poly.coeffs) - 1
         T = self.field._table
         if T is None:
             cs, zero = list(f.coeffs), self.field.zero
-            g = [(j, -c) for j, c in enumerate(self.poly.coeffs[:d]) if c]
+            g = [(j, -c) for j, c in enumerate(pc[:d]) if c]
         else:
             cs, zero = [c.log for c in f.coeffs], None
-            g = [c.log for c in self.poly.coeffs]
+            g = [c.log for c in pc]
         v = 0
         while len(cs) > d:
             if T is not None:

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from ffec import algebra
 from ffec.algebra import (
     CapError,
     Fq,
@@ -495,6 +496,86 @@ def test_valuation_poly_matches_divmod(p, e, rng):
     for n in range(6):
         f = rand_poly(F, n, rng, monic=True)
         assert inf.valuation_poly(f) == -n
+
+
+def _places_at_t(F, rng):
+    """t itself, and t as the place of c t for a random constant c."""
+    c = rand_elem(F, rng)
+    while not c:
+        c = rand_elem(F, rng)
+    return [Place(F, Poly.x(F), _checked=True), Place.finite(Poly(F, [F.zero, c]))]
+
+
+def _t_power_cases(F, rng):
+    """(f, v(f) at t by repeated divmod) for f = t^k h with h(0) != 0,
+    k = 0 .. 24."""
+    t = Poly.x(F)
+    cases = []
+    for k in range(25):
+        h = rand_poly(F, rng.randrange(8), rng)
+        while not h.coeffs or not h.coeffs[0]:
+            h = rand_poly(F, rng.randrange(8), rng)
+        f = t ** k * h
+        want = _valuation_by_divmod(f, t)
+        assert want == k
+        cases.append((f, want))
+    return cases
+
+
+def _check_valuations_at_t(F, rng):
+    cases = _t_power_cases(F, rng)
+    for v in _places_at_t(F, rng):
+        assert v.poly == Poly.x(F)
+        assert v.valuation_poly(Poly.zero(F)) == POS_INF
+        for f, want in cases:
+            assert v.valuation_poly(f) == want
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 2), (5, 2), (7, 2)])
+def test_valuation_at_t_with_table(p, e, rng):
+    F = field_create(p, e)
+    F.zech()
+    _check_valuations_at_t(F, rng)
+
+
+def _fresh_residue_field(p, d, rng):
+    """F_{p^d} as the residue field of a random place of degree d over F_p
+    that has no table yet."""
+    Fp = field_create(p)
+    while True:
+        g = Poly(Fp, [Fp._make(rng.randrange(p)) for _ in range(d)] + [1])
+        if is_irreducible(g):
+            F = Place.finite(g).residue_field()
+            if F._table is None:
+                return F
+
+
+@pytest.mark.parametrize("p, d", [(2, 16), (3, 10)])
+def test_valuation_at_t_without_table(p, d, rng, monkeypatch):
+    F = _fresh_residue_field(p, d, rng)
+    monkeypatch.setattr(F, "_ops_left", -1)
+    _check_valuations_at_t(F, rng)
+    assert F._table is None
+
+
+def test_valuation_at_t_divides_nothing(rng, monkeypatch):
+    # at t the valuation is read off the low coefficients, with no division
+    # of the logs; a place t + c still divides
+    F = field_create(3, 2)
+    F.zech()
+    cases = _t_power_cases(F, rng)
+    places = _places_at_t(F, rng)
+    v1 = Place(F, Poly(F, [F.one, F.one]), _checked=True)
+    rats = [RatFunc(f, v1.poly) for f, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("a valuation divided")
+    monkeypatch.setattr(algebra, "_log_div", refuse)
+    for v in places:
+        for (f, want), r in zip(cases, rats):
+            assert v.valuation_poly(f) == v.valuation(r) == want
+    with pytest.raises(AssertionError, match="divided"):
+        v1.valuation_poly(cases[3][0])
 
 
 def test_degree_sum_of_principal_divisor(rng):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffec import weierstrass
+from ffec import algebra, weierstrass
 from ffec.algebra import (
     FFECError, Place, Poly, RatFunc, factor_poly, field_create, parse_ratfunc, row_reduce)
 from ffec.weierstrass import (
@@ -706,6 +706,39 @@ def test_pairings_use_no_group_law(p, monkeypatch, rng):
         assert height_pairing(E, pts[i], pts[j]).value == want[i][j]
     assert family_gram(fam) == want
     assert points_report(fam)["gram"] == [[str(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pairings_do_not_divide_by_t(p, monkeypatch):
+    """The family's I_{4d} fiber is at t, where the pairings' valuations
+    run deep: they are read off the low coefficients, and no list of logs
+    is divided by t."""
+    fam = legendre_family(p)
+    E, pts = fam.curve, fam.points
+    want = gram_matrix(E, pts)
+    t = Poly.x(E.field)
+    at_t, by_t = [], []
+    log_div, valuation_poly = algebra._log_div, Place.valuation_poly
+
+    def counting_log_div(T, cs, b):
+        # [None, 0] are the logs of 0 and 1, the coefficients of t
+        if b == [None, 0]:
+            by_t.append(1)
+        log_div(T, cs, b)
+
+    def counting_valuation_poly(v, f):
+        k = valuation_poly(v, f)
+        if v.poly == t:
+            at_t.append(k)
+        return k
+
+    monkeypatch.setattr(algebra, "_log_div", counting_log_div)
+    monkeypatch.setattr(Place, "valuation_poly", counting_valuation_poly)
+    assert [[height_pairing(E, P, Q).value for Q in pts] for P in pts] == want
+    assert family_gram(fam) == want
+    assert E.field._table is not None
+    assert max(at_t) >= 2 * p
+    assert not by_t
 
 
 def test_trivial_component_groups_read_the_pole_only(monkeypatch):
