@@ -19,8 +19,10 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -498,6 +500,7 @@ class Fq:
     def _weights(self) -> np.ndarray:
         """p^0 .. p^(e-1), in int64 while codes fit in it and as Python ints
         in an object array above that."""
+        import numpy as np
         return np.array([self.p ** i for i in range(self.e)],
                         dtype=np.int64 if self.q < 1 << 62 else object)
 
@@ -505,6 +508,7 @@ class Fq:
         """The coordinates over F_p of the elements xs, low degree first,
         as the rows of an (len(xs), e) int64 array: the base-p digits of
         their codes."""
+        import numpy as np
         w = self._weights()
         codes = np.array([x.val for x in xs], dtype=w.dtype)
         return (codes[:, None] // w % self.p).astype(np.int64)
@@ -656,57 +660,106 @@ class ZechTable:
     - building it sets the `log` slot of every element of the field.
 
     FqElem arithmetic and the point counts (count_ws_points) read these
-    lists.  The powers of g are found in integer coordinates: an element is
-    the vector of its F_p-coordinates (Fq._coords), multiplication by g is
-    an e x e matrix over F_p, and g^0 .. g^(M-1) come from about 2 sqrt(M)
-    matrix products in numpy, so the build does no field arithmetic beyond
-    finding g and the matrix; their codes are the vals of exp."""
+    lists.  The powers of g are found on integer codes (_power_codes), so
+    the build does no field arithmetic beyond finding g and its products
+    with the basis; adding 1 to a code adds 1 to its digit c_0, and the
+    trace is F_p-linear, so zech and tracebit are read off the codes too."""
 
     def __init__(self, field: Fq):
         if field.q > PLACE_CAP:
             raise CapError(f"F_{field.q} above the counting cap {PLACE_CAP}")
         self.field = field
-        p, e, M = field.p, field.e, field.q - 1
+        p, M = field.p, field.q - 1
         self.order = M
         g = field.canonical_generator()
         self.g = g
-        mul_g = field._coords([g * b for b in field._basis()]).T
-        # the coordinates of g^k, k < B, are the first columns of the
-        # matrices of g^k; then g^(jB + k) = g^(jB) g^k is one matrix
-        # product per block of B powers
-        B = math.isqrt(M) + 1
-        mat = np.eye(e, dtype=np.int64)
-        first = []
-        for _ in range(B):
-            first.append(mat[:, 0])
-            mat = mul_g @ mat % p
-        block = np.stack(first, axis=1)
-        weights = field._weights()
-        step, parts = mat, []
-        mat = np.eye(e, dtype=np.int64)
-        for _ in range(-(-M // B)):
-            parts.append(weights @ (mat @ block % p))
-            mat = mat @ step % p
-        codes = np.concatenate(parts)[:M]
-        exp = [field._make(c) for c in codes.tolist()]
+        codes = _power_codes(field, g)
+        exp = [field._make(c) for c in codes]
+        log_of = [-1] * field.q
         for k, x in enumerate(exp):
-            x.log = k
+            x.log = log_of[x.val] = k
         self.exp = exp + exp
-        # adding 1 adds 1 to the coordinate c_0
-        log_of = np.full(field.q, -1, dtype=np.int64)
-        log_of[codes] = np.arange(M)
-        zech = log_of[np.where(codes % p == p - 1, codes - (p - 1), codes + 1)].tolist()
+        if p == 2:
+            zech = [log_of[c ^ 1] for c in codes]
+        else:
+            zech = [log_of[c + 1 - p if c % p == p - 1 else c + 1] for c in codes]
         self.zech = zech + zech
         self.log_neg1 = M // 2 if p != 2 else 0
         if p == 2:
-            # Tr(x) = sum_j x^(2^j), and g^k squared j times is g^(k 2^j)
-            tr = codes.copy()
-            k = np.arange(M, dtype=np.int64)
-            for j in range(1, e):
-                tr ^= codes[(k << j) % M]
-            self.tracebit = tr.tolist()
+            # bit i of mask is Tr(b_i), so Tr(x) is the parity of code & mask
+            mask = sum(field.absolute_trace(b) << i for i, b in enumerate(field._basis()))
+            self.tracebit = [(c & mask).bit_count() & 1 for c in codes]
         else:
             self.tracebit = None
+
+
+def _power_codes(field: Fq, g: FqElem) -> list:
+    """The codes of g^0 .. g^(q-2).  Multiplication by g is F_p-linear on
+    the coordinates, the base-p digits of a code, so the image of a code is
+    the digit-wise sum mod p of the images of its low c = ceil(e/2) digits
+    and of its high ones, each read from a table built once: one step per
+    power, two lookups and a sum.
+
+    - e = 1: a product of integers mod p.
+    - p = 2: the tables are indexed by the c low and the e - c high bits,
+      and the sum is an XOR.
+    - odd p: the state is the sum of the two images before it is reduced,
+      with its digits in base W = 2p - 1, where the sum of two digits in
+      [0, p) fits with no carry.  Its low c and high e - c digits index
+      the tables of the next state and those of the code, which reduce
+      each digit mod p."""
+    p, e, M = field.p, field.e, field.q - 1
+    out, x = [], 1
+    if e == 1:
+        for _ in range(M):
+            out.append(x)
+            x = x * g.val % p
+        return out
+    c = (e + 1) // 2
+    images = [(g * b).val for b in field._basis()]
+    if p == 2:
+        lo, hi = [0], [0]
+        for t, part in ((lo, images[:c]), (hi, images[c:])):
+            for m in part:
+                t += [y ^ m for y in t]
+        mask = (1 << c) - 1
+        for _ in range(M):
+            out.append(x)
+            x = lo[x & mask] ^ hi[x >> c]
+        return out
+    W, add = 2 * p - 1, field._vadd
+
+    def spread(code):
+        # the digits of a code in base p, as digits in base W
+        y, w = 0, 1
+        while code:
+            code, d = divmod(code, p)
+            y += d * w
+            w *= W
+        return y
+
+    tables = []
+    for part, shift in ((images[:c], 1), (images[c:], p ** c)):
+        # img[v]: the code of the image of the code v of the part, in
+        # order; red[u]: the code of a part with base-W digits u reduced
+        img = [0]
+        for m in part:
+            ms = [0]
+            for _ in range(p - 1):
+                ms.append(add(ms[-1], m))
+            img = [add(y, k) for k in ms for y in img]
+        img = [spread(y) for y in img]
+        red = [0] * W ** len(part)
+        for u in range(1, len(red)):
+            red[u] = red[u // W] * p + u % W % p
+        tables.append(([img[r] for r in red], [r * shift for r in red]))
+    (nlo, clo), (nhi, chi) = tables
+    Wc = W ** c
+    for _ in range(M):
+        h, l = divmod(x, Wc)
+        out.append(clo[l] + chi[h])
+        x = nlo[l] + nhi[h]
+    return out
 
 
 def count_ws_points(field: Fq, a1, a2, a3, a4, a6) -> int:
@@ -888,13 +941,19 @@ class Poly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        out = list(a)
+        if len(b) > len(a):
+            out += [self.field.zero] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] = out[i] - c
+        return Poly._of(self.field, out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -1145,6 +1204,7 @@ def _log_gcd(T: ZechTable, a: list, b: list) -> list:
 
 def _pack(slots: np.ndarray, width: int) -> int:
     """The integer whose little-endian digits of `width` bytes are `slots`."""
+    import numpy as np
     digits = slots.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
     return int.from_bytes(digits.tobytes(), "little")
 
@@ -1153,6 +1213,7 @@ def _array_mul(field: Fq, a, b):
     """The coefficients of a * b by Kronecker substitution.  One big-integer
     product gives the convolution of every coordinate of a with every
     coordinate of b, and the multiplication tensor sums them up."""
+    import numpy as np
     p, e = field.p, field.e
     n, m = len(a), len(b)
     # a slot holds at most min(n, m) (p - 1)^2 < 2^64, since p < 2^16
@@ -1176,6 +1237,7 @@ def _monic_divisor(field: Fq, B: np.ndarray):
     """For the coordinate rows B of a divisor with leading coefficient c:
     the matrix of multiplication by 1/c, and for each basis element b_i the
     coordinates of b_i B/c without its last coefficient, flattened."""
+    import numpy as np
     p, e = field.p, field.e
     if e == 1:
         # the tensor is [[[1]]]: the coordinate is the element, and 1/c an
@@ -1195,6 +1257,7 @@ def _array_divmod(field: Fq, a, b):
     B/c is scaled back by 1/c at the end.  Entries are reduced mod p only
     where they are read: a step adds less than e p^2 to an entry, and
     p < 2^16, so int64 holds the sum of any realistic number of steps."""
+    import numpy as np
     p, e = field.p, field.e
     minv, rows = _monic_divisor(field, field._coords(b))
     R = field._coords(a).reshape(-1)

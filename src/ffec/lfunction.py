@@ -38,9 +38,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import (
     CapError,
@@ -195,22 +194,23 @@ def _degree_field(F: Fq, d: int) -> Fq:
     return Place(F, g, _checked=True).residue_field()
 
 
-def _place_orbits(q: int, d: int) -> list:
+@functools.lru_cache(maxsize=None)
+def _place_orbits(q: int, d: int) -> tuple:
     """One element per place of F_q(t) of degree d, as a generator exponent
     in the degree-d field: the least element of each Frobenius orbit of
     size d of k -> qk mod (q^d - 1).  For d = 1 every element of F_q is a
-    place, and None stands for 0."""
+    place, and None stands for 0.  Cached per (q, d), since every Euler
+    product over F_q reaches the same degrees."""
     if d == 1:
-        return [None] + list(range(q - 1))
-    return [o[0] for o in orbit_decomposition(q ** d - 1, q).orbits if len(o) == d]
+        return (None,) + tuple(range(q - 1))
+    return tuple(o[0] for o in orbit_decomposition(q ** d - 1, q).orbits if len(o) == d)
 
 
 def _log_coeffs(f: Poly, K: Fq) -> list:
     """(i, log c_i) for the non-zero coefficients of f, embedded in K, which
-    has its table."""
-    if K is f.field:
-        return [(i, c.log) for i, c in enumerate(f.coeffs) if c]
-    return [(i, K.element([c]).log) for i, c in enumerate(f.coeffs) if c]
+    has its table.  K is F or an extension of F = f.field, where a constant
+    c of F has the code c.val."""
+    return [(i, K._make(c.val).log) for i, c in enumerate(f.coeffs) if c]
 
 
 def _log_eval(terms, k, M: int, Z) -> int | None:
@@ -452,25 +452,73 @@ def check_functional_equation(L: LPoly) -> int:
     return eps
 
 
-# relative tolerance of the root-size check
-RH_TOL = 1e-9
-
-
 def check_rh(L: LPoly) -> bool:
-    """Whether every inverse root of L has absolute value q within RH_TOL*q.
+    """Whether every inverse root of L has absolute value q, decided in
+    integers.
 
-    Roots come from the companion matrix of the exact squarefree part, the
-    product of zfactor's squarefree parts, so repeated factors such as
-    (1 - qT)^N do not degrade the accuracy.  zfactor is imported here, as
-    towers.factor_degrees does, so importing ffec does not load it."""
-    from .zfactor import _mul, _primitive, _squarefree_parts, _trim
+    The inverse roots are the roots of R(x) = x^N L(1/x).  Once the roots
+    +-q are divided out, the rest S, of degree n, has all its roots on
+    |x| = q iff n = 2m is even, S is self-reciprocal under x -> q^2/x
+    (x^n S(q^2/x) = q^n S(x), since then the roots come in pairs a,
+    q^2/a = conj(a)), and S(x) = x^m H(x + q^2/x) has every root of H in
+    (-2q, 2q): a root y of H gives the two roots of x^2 - yx + q^2, which
+    have absolute value q iff y is real with y^2 <= 4q^2, and +-2q would
+    give +-q.  A Sturm sequence counts the real roots of each squarefree
+    part of H there.  zfactor is imported here, as towers.factor_degrees
+    does, so importing ffec does not load it."""
+    from .zfactor import _exact_div, _squarefree_parts
 
-    if L.N == 0:
+    q, s = L.q, list(reversed(L.coeffs))
+    for r in (q, -q):
+        while (t := _exact_div(s, [-r, 1])) is not None:
+            s = t
+    n = len(s) - 1
+    if n % 2 or any(s[k] * q ** (2 * k) != q ** n * s[n - k] for k in range(n // 2 + 1)):
+        return False
+    # H = s_m + sum_j s_(m+j) D_j(y), D_j(x + q^2/x) = x^j + (q^2/x)^j, so
+    # D_0 = 2, D_1 = y and D_(j+1) = y D_j - q^2 D_(j-1)
+    m = n // 2
+    if not m:
         return True
-    parts = _squarefree_parts(_primitive(_trim(list(L.coeffs))))
-    sq = functools.reduce(_mul, (g for g, _ in parts))
-    roots = np.roots([float(c) for c in reversed(sq)])
-    return bool(max(abs(abs(1.0 / r) - L.q) for r in roots) <= RH_TOL * L.q)
+    H, d0, d1 = [s[m]] + [0] * m, [2], [0, 1]
+    for j in range(1, m + 1):
+        for i, c in enumerate(d1):
+            H[i] += s[m + j] * c
+        d2 = [0] + d1
+        for i, c in enumerate(d0):
+            d2[i] -= q * q * c
+        d0, d1 = d1, d2
+    return all(_sturm_count(g, 2 * q) == len(g) - 1 for g, _ in _squarefree_parts(H))
+
+
+def _sturm_count(f, b: int) -> int:
+    """The number of real roots in (-b, b) of a squarefree integer
+    polynomial f (low degree first) with no root at +-b, by its Sturm
+    sequence f, f', then minus the remainder of each by the next, kept in
+    integers: the pseudo-remainder, made a positive multiple of the
+    remainder and divided by its content."""
+    from .zfactor import _prem
+
+    seq = [f, [k * c for k, c in enumerate(f)][1:]]
+    while len(seq[-1]) > 1:
+        a, g = seq[-2], seq[-1]
+        r = _prem(a, g)
+        if g[-1] < 0 and (len(a) - len(g)) % 2 == 0:
+            r = [-c for c in r]
+        c = math.gcd(*r)
+        seq.append([-x // c for x in r])
+
+    def changes(x):
+        signs = []
+        for p in seq:
+            v = 0
+            for c in reversed(p):
+                v = v * x + c
+            if v:
+                signs.append(v < 0)
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return changes(-b) - changes(b)
 
 
 def _root_order(coeffs, q: int) -> int:

@@ -354,6 +354,38 @@ def test_import_leaves_zfactor_out():
     assert out.returncode == 0, out.stderr
 
 
+def test_commands_leave_numpy_out():
+    """numpy is imported by the array paths of Poly alone: importing ffec
+    and running analyze, a tower scan and points --p 3 leave it out, and a
+    product of two 65-coefficient polynomials over F_2 still reaches
+    _array_mul, which loads it."""
+    src = os.path.dirname(os.path.dirname(ffec.__file__))
+    data = pathlib.Path(__file__).parent / "data"
+    env = dict(os.environ, PYTHONPATH=src)
+    script = f"""
+import contextlib, io, sys
+import ffec, ffec.cli
+from ffec import algebra
+assert "numpy" not in sys.modules
+for argv in (["analyze", "--curve", {str(data / "e7-f2.curve")!r}],
+             ["tower", "--curve", {str(data / "e9-f2.curve")!r}, "--scan", "2"],
+             ["points", "--p", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert ffec.cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules
+calls = []
+array_mul = algebra._array_mul
+algebra._array_mul = lambda *args: calls.append(1) or array_mul(*args)
+F = algebra.field_create(2)
+a = algebra.Poly(F, [1] * 65)
+assert a * a == algebra.Poly(F, [1, 0] * 64 + [1])
+assert calls and "numpy" in sys.modules
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_meta_digest_leaves_openssl_out():
     """The meta record's input_sha256 is the SHA-256 of the input; where
     CPython has its own SHA-256 module, a command computes it without

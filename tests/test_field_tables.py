@@ -315,17 +315,33 @@ def test_table_built_mid_use_changes_no_result(rng):
 
 
 def test_table_arrays_agree_with_elements():
-    for F in (field_create(2, 6), field_create(3, 3), _residue_field(field_create(2, 2), 3)):
+    """Each table against routes that do not read it: exp against the
+    powers of g taken by Fq._vmul on codes, zech against 1 added to the
+    digit c_0 of each code, tracebit against absolute_trace (on a sample of
+    the large fields, where a trace costs e - 1 Frobenius steps on codes).
+    The fields cover p = 2 and odd p, every width of the build's tables up
+    to 2^16 elements, and residue-field towers, whose codes nest."""
+    rng = random.Random(25)
+    F4, F9 = field_create(2, 2), field_create(3, 2)
+    for F in (field_create(2, 6), field_create(3, 3), _residue_field(F4, 3),
+              field_create(2, 16), field_create(3, 10), field_create(5, 6),
+              field_create(251, 2), _residue_field(F9, 4), _residue_field(F4, 5)):
         T = F.zech()
         M = F.q - 1
         assert len(T.exp) == len(T.zech) == 2 * M
         assert T.exp[0] is F.one and T.exp[1] is T.g
+        code = 1
         for k in range(M):
             x = T.exp[k]
-            assert x.log == k and T.exp[k + M] is x
-            s = x + 1
-            assert T.zech[k] == (-1 if not s else s.log)
-            if F.p == 2:
-                assert T.tracebit[k] == F.absolute_trace(x)
+            assert x.val == code and x.log == k and T.exp[k + M] is x
+            code = F._vmul(code, T.g.val)
+            s = F._vadd(x.val, 1)
+            assert T.zech[k] == (-1 if not s else F._make(s).log)
+        assert code == 1
+        if F.p == 2:
+            for k in (range(M) if M < 1 << 8 else rng.sample(range(M), 300)):
+                assert T.tracebit[k] == F.absolute_trace(T.exp[k])
+        else:
+            assert T.tracebit is None
         assert T.exp[T.log_neg1] is -F.one
         assert F.zero.log is None

@@ -1,6 +1,9 @@
 """L-polynomials: Euler products, closed forms, FE, RH, ranks, surface zeta."""
 
 import collections
+import json
+import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,6 +199,95 @@ def test_rh_examples():
     assert check_rh(LPoly((1, -64, 1536, -16384, 65536), 16, 4))   # (1-16T)^4
     assert not check_rh(LPoly((1, -17), 16, 1))
     assert check_rh(LPoly((1, -4, 12, -16, 16), 2, 4))   # (1-2T+4T^2)^2
+
+
+def _rh_by_roots(L):
+    """A floating-point oracle: np.roots on each irreducible factor of L
+    over Q, so no root is repeated, and every |alpha| within 1e-9 q of q."""
+    import numpy as np
+    from ffec.zfactor import factor_z
+
+    for g, _ in factor_z(L.coeffs)[1]:
+        roots = np.roots([float(c) for c in reversed(g)])
+        if any(abs(abs(1 / r) - L.q) > 1e-9 * L.q for r in roots):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", [2 ** 16, 2 ** 20])
+@pytest.mark.parametrize("a", [0, 3, "q"])
+def test_rh_rejects_roots_just_off_the_circle(q, a):
+    """1 - aT + (q^2 + 1)T^2 has |alpha| = sqrt(q^2 + 1), a relative error
+    below 1e-9 at these q, which a float check with that tolerance took for
+    |alpha| = q."""
+    a = q if a == "q" else a
+    assert not check_rh(LPoly((1, -a, q * q + 1), q, 2))
+    # times the Weil factor 1 - qT + q^2 T^2
+    assert not check_rh(LPoly((1, -a - q, 2 * q * q + 1 + a * q,
+                               -a * q * q - q ** 3 - q, q ** 4 + q * q), q, 4))
+    assert check_rh(LPoly((1, -a, q * q), q, 2))
+    assert check_rh(LPoly((1, -2 * q, q * q), q, 2))        # (1 - qT)^2
+    assert not check_rh(LPoly((1, -2 * q - 1, q * q), q, 2))
+
+
+def _golden_ls():
+    """(L, the recorded rh or None) for every L in the recorded reports."""
+    out = []
+    for path in sorted((pathlib.Path(__file__).parent / "data").glob("*.jsonl")):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            r = json.loads(line)
+            if r["record"] == "lreport":
+                out.append((LPoly(tuple(r["coeffs"]), r["q"], r["N"]), r["rh"]))
+            elif r["record"] == "towerscan":
+                out.append((LPoly(tuple(r["l_coeffs"]), r["q_const"], r["N"]), None))
+    return out
+
+
+def test_rh_agrees_with_roots_on_recorded_ls():
+    ls = _golden_ls()
+    assert len(ls) == 11
+    for L, rh in ls:
+        assert check_rh(L) == _rh_by_roots(L) == (True if rh is None else rh), L
+
+
+# Phi_n(x) for a few n: Phi_n(qT) has its inverse roots q zeta_n
+_CYCLOTOMIC = [(1, -1), (1, 1), (1, 1, 1), (1, 0, 1), (1, -1, 1), (1, 1, 1, 1, 1),
+               (1, 0, 0, 0, 1), (1, 0, -1, 0, 1)]
+
+
+def _weil_factor(q, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (1, rng.choice((-q, q)))
+    if kind == 1:
+        return (1, -rng.randint(-2 * q, 2 * q), q * q)
+    return tuple(c * q ** i for i, c in enumerate(rng.choice(_CYCLOTOMIC)))
+
+
+def _non_weil_factor(q, rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return (1, rng.choice([c for c in range(-3 * q, 3 * q + 1) if c and abs(c) != q]))
+    if kind == 1:
+        a = rng.randint(2 * q + 1, 4 * q)
+        return (1, rng.choice((a, -a)), q * q)
+    return (1, -rng.randint(-2 * q, 2 * q), rng.choice([b for b in range(1, 3 * q * q) if b != q * q]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_rh_agrees_with_roots_on_products(q):
+    """Seeded products of one to four factors, each with every inverse
+    root on |alpha| = q or not: RH holds iff every factor has it."""
+    rng = random.Random(q)
+    for _ in range(50):
+        factors = [(_weil_factor(q, rng), True) if rng.random() < 0.7 else
+                   (_non_weil_factor(q, rng), False) for _ in range(rng.randint(1, 4))]
+        coeffs = [1]
+        for f, _ in factors:
+            coeffs = [sum(coeffs[i] * f[k - i] for i in range(len(coeffs)) if 0 <= k - i < len(f))
+                      for k in range(len(coeffs) + len(f) - 1)]
+        L = LPoly(tuple(coeffs), q, len(coeffs) - 1)
+        assert check_rh(L) == _rh_by_roots(L) == all(w for _, w in factors), factors
 
 
 def test_analytic_rank_examples():
