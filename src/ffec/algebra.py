@@ -13,16 +13,12 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -32,7 +28,7 @@ POS_INF = float("inf")
 PLACE_CAP = 1 << 16
 
 # Poly multiplies, divides and takes gcds on arrays of F_p-coordinates
-# (_array_mul, _array_divmod, _array_gcd) once an operand has _BIG
+# (arrays._array_mul, _array_divmod, _array_gcd) once an operand has _BIG
 # coefficients.  Below that a field with its table runs loops on discrete
 # logs (_log_mul, _log_div, _log_gcd), and a field without one its loops
 # over elements.  An array step costs e numpy row operations where the log
@@ -148,7 +144,7 @@ class FqElem:
     equal elements of the same field are the same object.
 
     `val` is the element's code sum_i c_i p^i, c_0 .. c_(e-1) its
-    coordinates over F_p (Fq._coords), in every field; codes in increasing
+    coordinates over F_p (arrays._coords), in every field; codes in increasing
     order are the canonical order of the elements.  Once the field has its
     table (Fq.zech), `log` is the element's discrete logarithm to the
     table's generator (None for 0) and every operation is a table lookup;
@@ -497,41 +493,9 @@ class Fq:
         for v in range(self.q):
             yield self._make(v)
 
-    def _weights(self) -> np.ndarray:
-        """p^0 .. p^(e-1), in int64 while codes fit in it and as Python ints
-        in an object array above that."""
-        import numpy as np
-        return np.array([self.p ** i for i in range(self.e)],
-                        dtype=np.int64 if self.q < 1 << 62 else object)
-
-    def _coords(self, xs) -> np.ndarray:
-        """The coordinates over F_p of the elements xs, low degree first,
-        as the rows of an (len(xs), e) int64 array: the base-p digits of
-        their codes."""
-        import numpy as np
-        w = self._weights()
-        codes = np.array([x.val for x in xs], dtype=w.dtype)
-        return (codes[:, None] // w % self.p).astype(np.int64)
-
-    def _from_coords(self, rows: np.ndarray) -> list:
-        """The elements with the given rows of coordinates in [0, p): the
-        inverse of _coords."""
-        w = self._weights()
-        return [self._make(v) for v in (rows.astype(w.dtype) @ w).tolist()]
-
     def _basis(self):
         """Elements whose flattened coordinates are the unit vectors."""
         return [self._make(self.p ** i) for i in range(self.e)]
-
-    def _mul_tensor(self) -> np.ndarray:
-        """The (e, e, e) array T with T[i, j] the coordinates of b_i b_j, for
-        b = _basis(), built on first use: the coordinates of x y are
-        sum_ij x_i y_j T[i, j]."""
-        if self._tensor is None:
-            b = self._basis()
-            T = self._coords([x * y for x in b for y in b])
-            self._tensor = T.reshape(self.e, self.e, self.e)
-        return self._tensor
 
     def absolute_trace(self, x: FqElem) -> int:
         """Trace down to F_p, returned as an integer in [0, p): the sum of
@@ -976,7 +940,8 @@ class Poly:
         # len(a) len(b) lookups, where arrays first pay a few numpy calls
         T, short = self.field._table, min(len(a), len(b))
         if max(len(a), len(b)) >= _BIG and (T is None or short >= _mul_short(self.field.e)):
-            return Poly._of(self.field, _array_mul(self.field, a, b))
+            from . import arrays
+            return Poly._of(self.field, arrays._array_mul(self.field, a, b))
         if T is not None:
             return _log_poly(self.field, _log_mul(T, a, b))
         z = self.field.zero
@@ -1023,7 +988,8 @@ class Poly:
             d = len(o.coeffs) - 1
             return _log_poly(self.field, cs[d:]), _log_poly(self.field, cs[:d])
         if len(self.coeffs) >= _BIG:
-            q, r = _array_divmod(self.field, self.coeffs, o.coeffs)
+            from . import arrays
+            q, r = arrays._array_divmod(self.field, self.coeffs, o.coeffs)
             return Poly._of(self.field, q), Poly._of(self.field, r)
         inv = o.coeffs[-1].inverse()
         rem = list(self.coeffs)
@@ -1068,7 +1034,8 @@ class Poly:
             return _log_poly(self.field, _log_gcd(T, [c.log for c in a.coeffs],
                                                    [c.log for c in b.coeffs]))
         if n >= _BIG:
-            return Poly._of(self.field, _array_gcd(self.field, a.coeffs, b.coeffs)).monic()
+            from . import arrays
+            return Poly._of(self.field, arrays._array_gcd(self.field, a.coeffs, b.coeffs)).monic()
         while b:
             a, b = b, a % b
         return a.monic()
@@ -1200,99 +1167,6 @@ def _log_gcd(T: ZechTable, a: list, b: list) -> list:
         a, b = b, r
     lc = a[-1] if a else 0
     return [None if v is None else v - lc for v in a]
-
-
-def _pack(slots: np.ndarray, width: int) -> int:
-    """The integer whose little-endian digits of `width` bytes are `slots`."""
-    import numpy as np
-    digits = slots.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
-    return int.from_bytes(digits.tobytes(), "little")
-
-
-def _array_mul(field: Fq, a, b):
-    """The coefficients of a * b by Kronecker substitution.  One big-integer
-    product gives the convolution of every coordinate of a with every
-    coordinate of b, and the multiplication tensor sums them up."""
-    import numpy as np
-    p, e = field.p, field.e
-    n, m = len(a), len(b)
-    # a slot holds at most min(n, m) (p - 1)^2 < 2^64, since p < 2^16
-    width = ((min(n, m) * (p - 1) ** 2).bit_length() + 7) // 8
-    # coordinate i of a_k goes to slot k e^2 + i e and coordinate j of b_k
-    # to slot k e^2 + j, so slot k e^2 + i e + j of the product holds the
-    # t^k coefficient of a_i(t) b_j(t)
-    sa = np.zeros((n, e, e), dtype=np.int64)
-    sa[:, :, 0] = field._coords(a)
-    sb = np.zeros((m, e, e), dtype=np.int64)
-    sb[:, 0, :] = field._coords(b)
-    slots = (n + m - 1) * e * e
-    prod = (_pack(sa, width) * _pack(sb, width)).to_bytes(slots * width, "little")
-    digits = np.zeros((slots, 8), dtype=np.uint8)
-    digits[:, :width] = np.frombuffer(prod, dtype=np.uint8).reshape(slots, width)
-    conv = digits.view("<u8").astype(np.int64).reshape(n + m - 1, e * e) % p
-    return field._from_coords(conv @ field._mul_tensor().reshape(e * e, e) % p)
-
-
-def _monic_divisor(field: Fq, B: np.ndarray):
-    """For the coordinate rows B of a divisor with leading coefficient c:
-    the matrix of multiplication by 1/c, and for each basis element b_i the
-    coordinates of b_i B/c without its last coefficient, flattened."""
-    import numpy as np
-    p, e = field.p, field.e
-    if e == 1:
-        # the tensor is [[[1]]]: the coordinate is the element, and 1/c an
-        # integer power; over F_p this set-up is most of a Euclid step
-        inv = pow(int(B[-1, 0]), p - 2, p)
-        return np.array([[inv]]), [B[:-1, 0] * inv % p]
-    T = field._mul_tensor()
-    inv = field._from_coords(B[-1:])[0].inverse()
-    minv = (field._coords([inv])[0] @ T.reshape(e, e * e)).reshape(e, e) % p
-    return minv, list((B[:-1] @ minv % p @ T % p).reshape(e, -1))
-
-
-def _array_divmod(field: Fq, a, b):
-    """Quotient and remainder coefficients of a by b, len(a) >= len(b), by
-    synthetic division on coordinate rows.  Each step subtracts top * x^k *
-    B/c, top the leading coordinates of what is left, and the quotient by
-    B/c is scaled back by 1/c at the end.  Entries are reduced mod p only
-    where they are read: a step adds less than e p^2 to an entry, and
-    p < 2^16, so int64 holds the sum of any realistic number of steps."""
-    import numpy as np
-    p, e = field.p, field.e
-    minv, rows = _monic_divisor(field, field._coords(b))
-    R = field._coords(a).reshape(-1)
-    Q = [None] * (len(a) - len(b) + 1)
-    w = (len(b) - 1) * e
-    for i in range(len(Q) - 1, -1, -1):
-        k = i * e
-        Q[i] = top = [c % p for c in R[k + w:k + w + e].tolist()]
-        for c, row in zip(top, rows):
-            if c:
-                R[k:k + w] -= c * row
-    return field._from_coords(np.array(Q) @ minv % p), field._from_coords(R[:w].reshape(-1, e) % p)
-
-
-def _array_gcd(field: Fq, a, b):
-    """The coefficients of a gcd of a and b, up to a unit, by Euclid in
-    place on coordinate rows, reduced as in _array_divmod and once more at
-    the end of each division."""
-    p, e = field.p, field.e
-    A, B = field._coords(a).reshape(-1), field._coords(b).reshape(-1)
-    if A.size < B.size:
-        A, B = B, A
-    while B.size:
-        _, rows = _monic_divisor(field, B.reshape(-1, e))
-        w = B.size - e
-        for k in range(A.size - B.size, -1, -e):
-            for c, row in zip(A[k + w:k + w + e].tolist(), rows):
-                c %= p
-                if c:
-                    A[k:k + w] -= c * row
-        A[:w] %= p
-        while w and not any(A[w - e:w].tolist()):
-            w -= e
-        A, B = B, A[:w]
-    return field._from_coords(A.reshape(-1, e))
 
 
 # irreducibility and factorization
@@ -1842,8 +1716,7 @@ class Place:
         return format_place(self, "t")
 
 
-@dataclasses.dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(NamedTuple):
     d: int
     q: int
     orbits: tuple

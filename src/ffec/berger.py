@@ -7,7 +7,7 @@ models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FFECError, Fq, Poly
 from .local import bad_reduction
@@ -17,22 +17,24 @@ from . import catalog
 INF = "inf"
 
 
-@dataclass(frozen=True)
-class BergerData:
-    """Zeros and poles of the two rational functions as (label, multiplicity)
-    pairs.  Labels are opaque strings naming distinct points of P^1; the
-    point at infinity is labelled "inf"."""
-
+# a NamedTuple may not define __new__, so the subclass below checks the fields
+class _BergerFields(NamedTuple):
     f_zeros: tuple[tuple[str, int], ...]
     f_poles: tuple[tuple[str, int], ...]
     g_zeros: tuple[tuple[str, int], ...]
     g_poles: tuple[tuple[str, int], ...]
     p: int = 0
 
-    def __post_init__(self):
-        for side in ("f", "g"):
-            zeros = getattr(self, side + "_zeros")
-            poles = getattr(self, side + "_poles")
+
+class BergerData(_BergerFields):
+    """Zeros and poles of the two rational functions as (label, multiplicity)
+    pairs.  Labels are opaque strings naming distinct points of P^1; the
+    point at infinity is labelled "inf"."""
+
+    __slots__ = ()
+
+    def __new__(cls, f_zeros, f_poles, g_zeros, g_poles, p: int = 0):
+        for side, zeros, poles in (("f", f_zeros, f_poles), ("g", g_zeros, g_poles)):
             if not zeros or not poles:
                 raise ValueError(f"{side} needs at least one zero and one pole")
             labels = [lab for lab, _ in zeros] + [lab for lab, _ in poles]
@@ -43,6 +45,7 @@ class BergerData:
             if sum(m for _, m in zeros) != sum(m for _, m in poles):
                 raise ValueError(
                     f"the {side} divisor does not have degree zero")
+        return super().__new__(cls, f_zeros, f_poles, g_zeros, g_poles, p)
 
     @property
     def m(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import platform
 import sys
 import time
 
@@ -24,37 +23,10 @@ try:
 except ImportError:
     from hashlib import sha256
 
+# only what every command needs; each cmd_* imports the modules it runs
 from . import __version__
-from .algebra import CapError, FFECError, ParseError, field_create, format_ratfunc
-from .berger import (
-    berger_catalog,
-    c1,
-    c2,
-    first_example_data,
-    format_berger_data,
-    genus,
-    l4_data,
-    parse_berger_data,
-    second_example_data,
-)
-from .heights_points import circulant_rank, legendre_family, points_report
-from .lfunction import (
-    analytic_rank,
-    check_functional_equation,
-    check_rh,
-    constant_l,
-    constant_trace,
-    l_polynomial,
-)
-from .local import curve_analysis, nprime_deg
-from .towers import rank_growth_scan, tower_l
+from .algebra import CapError, FFECError, ParseError, format_ratfunc
 from .weierstrass import NotEllipticError, parse_curve_file
-
-_DATA_BUILDERS = {
-    "first-example": first_example_data,
-    "second-example": second_example_data,
-    "berger-L4": l4_data,
-}
 
 
 class Emitter:
@@ -91,7 +63,7 @@ class Emitter:
             digest = sha256(input_text.encode()).hexdigest()
         self.record("meta", command=self.command, input_sha256=digest,
                     versions={"ffec": __version__,
-                              "python": platform.python_version()})
+                              "python": sys.version.split()[0]})
 
     def close(self) -> int:
         self.record("summary", ok=self.ok,
@@ -106,6 +78,7 @@ def _read_file(path: str) -> str:
 
 
 def _emit_l_record(em: Emitter, L):
+    from .lfunction import analytic_rank, check_functional_equation, check_rh
     eps = check_functional_equation(L)
     rank = analytic_rank(L)
     rh = check_rh(L)
@@ -117,6 +90,8 @@ def _emit_l_record(em: Emitter, L):
 
 
 def cmd_analyze(args, em: Emitter, text: str) -> None:
+    from .lfunction import constant_l, constant_trace, l_polynomial
+    from .local import curve_analysis
     E = parse_curve_file(text)
     A = curve_analysis(E)
     cls = A.cls
@@ -155,6 +130,7 @@ def cmd_analyze(args, em: Emitter, text: str) -> None:
 
 
 def cmd_tower(args, em: Emitter, text: str) -> None:
+    from .towers import rank_growth_scan, tower_l
     E = parse_curve_file(text)
     if args.scan is not None:
         res = rank_growth_scan(E, args.scan)
@@ -172,6 +148,7 @@ def cmd_tower(args, em: Emitter, text: str) -> None:
 
 
 def cmd_points(args, em: Emitter, text: str | None) -> None:
+    from .heights_points import circulant_rank, legendre_family, points_report
     fam = legendre_family(args.p, args.f)
     rep = points_report(fam)
     em.record("family", curve=rep["curve"], q=rep["q"], d=rep["d"])
@@ -186,6 +163,10 @@ def cmd_points(args, em: Emitter, text: str | None) -> None:
 
 
 def cmd_berger(args, em: Emitter, text: str | None) -> None:
+    from .algebra import field_create
+    from .berger import (berger_catalog, c1, c2, first_example_data, format_berger_data,
+                         genus, l4_data, parse_berger_data, second_example_data)
+    from .local import nprime_deg
     if args.data is not None:
         data = parse_berger_data(text, p=args.p)
     else:
@@ -208,7 +189,10 @@ def cmd_berger(args, em: Emitter, text: str | None) -> None:
         c1_val = c1(E)
         em.record("berger", c1=c1_val, nprime_deg=nprime_deg(E))
         em.human(f"{args.catalog} over F_{F.q}: c1 = {c1_val}")
-        data = _DATA_BUILDERS[args.catalog](p=F.p)
+        builders = {"first-example": first_example_data,
+                    "second-example": second_example_data,
+                    "berger-L4": l4_data}
+        data = builders[args.catalog](p=F.p)
     em.record("divisors", data=format_berger_data(data),
               m=data.m, n=data.n)
     violations = data.check_hypotheses()

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ class TorsionInconclusive(FFECError):
     """The height says torsion but the multiple check cannot confirm."""
 
 
-@dataclass(frozen=True)
-class HeightValue:
+class HeightValue(NamedTuple):
     """An exact canonical height; error and iterations are always 0."""
 
     value: Fraction
@@ -93,8 +91,7 @@ class HeightValue:
     iterations: int
 
 
-@dataclass(frozen=True)
-class PointFamily:
+class PointFamily(NamedTuple):
     curve: Curve
     d: int
     points: tuple[CurvePoint, ...]
@@ -374,8 +371,7 @@ class _Diff:
         return dx, loc._order(num, self.dzz + self.dww + s.den.degree, 3)
 
 
-@dataclass(frozen=True)
-class _CurveHeights:
+class _CurveHeights(NamedTuple):
     """The per-curve part of the local-height sum: the transform to the
     polynomial minimal model M (None for the identity), M's a1, a2, a3,
     a4, b2, b4, b6, b8 as polynomials, the places of S, infinity first,
@@ -398,8 +394,7 @@ def _curve_heights(E: Curve) -> _CurveHeights:
     return _CurveHeights(None if tau.is_identity() else tau, coeffs, places, chi)
 
 
-@dataclass(frozen=True)
-class _PointHeights:
+class _PointHeights(NamedTuple):
     """P on M, P at each place of S, and rest = deg Z
     - sum of deg v * v(Z) over the finite v in S, what the places off S
     add to 2 (P.O)."""

@@ -35,11 +35,11 @@ verify it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     CapError,
@@ -58,17 +58,22 @@ from .weierstrass import Curve, constant_embedding
 from .local import curve_analysis, fiber_table_row
 
 
-@dataclasses.dataclass(frozen=True)
-class LPoly:
-    """An L-polynomial: integer coefficients, constant term 1, degree N."""
-
+# a NamedTuple may not define __new__, so the subclass below checks the fields
+class _LPolyFields(NamedTuple):
     coeffs: tuple
     q: int
     N: int
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.N + 1 or self.coeffs[0] != 1:
+
+class LPoly(_LPolyFields):
+    """An L-polynomial: integer coefficients, constant term 1, degree N."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: tuple, q: int, N: int):
+        if len(coeffs) != N + 1 or coeffs[0] != 1:
             raise ValueError("coefficient list must have length N+1 and lead with 1")
+        return super().__new__(cls, coeffs, q, N)
 
     def __str__(self):
         if self.N == 0:
@@ -355,8 +360,7 @@ def l_polynomial(E: Curve, descend: bool = True) -> LPoly:
 # ---------------------------------------------------------------------------
 # constant curves
 
-@dataclasses.dataclass(frozen=True)
-class ConstantL:
+class ConstantL(NamedTuple):
     """The closed-form L-function of a constant curve: the reciprocal of
     (1 - aT + qT^2)(1 - aqT + q^3 T^2), stored via its denominator factors."""
 
@@ -546,8 +550,7 @@ def analytic_rank(L: LPoly) -> int:
 # ---------------------------------------------------------------------------
 # the zeta function of the associated elliptic surface
 
-@dataclasses.dataclass(frozen=True)
-class SurfaceZeta:
+class SurfaceZeta(NamedTuple):
     """Z of the elliptic surface as an exact rational function in T,
     stored as numerator and denominator factor lists (coeffs, exponent)."""
 

@@ -30,9 +30,9 @@ from the Euler product's own count (lfunction._good_counts).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 from .algebra import (
     PLACE_CAP,
@@ -56,22 +56,27 @@ class UndefinedRowError(FFECError):
 _GEOM = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
 
 
-@dataclasses.dataclass(frozen=True)
-class KodairaType:
-    """A Kodaira reduction type.  kind is one of I, I*, II, III, IV, IV*,
-    III*, II*; n is the index for the I and I* series."""
-
+# a NamedTuple may not define __new__, so the subclass below checks the fields
+class _KodairaFields(NamedTuple):
     kind: str
     n: int = 0
 
-    def __post_init__(self):
-        if self.kind in ("I", "I*"):
-            if self.n < 0:
+
+class KodairaType(_KodairaFields):
+    """A Kodaira reduction type.  kind is one of I, I*, II, III, IV, IV*,
+    III*, II*; n is the index for the I and I* series."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, n: int = 0):
+        if kind in ("I", "I*"):
+            if n < 0:
                 raise ValueError("index must be non-negative")
-        elif self.kind not in _GEOM:
-            raise ValueError(f"unknown Kodaira kind {self.kind!r}")
-        elif self.n:
-            raise ValueError(f"{self.kind} takes no index")
+        elif kind not in _GEOM:
+            raise ValueError(f"unknown Kodaira kind {kind!r}")
+        elif n:
+            raise ValueError(f"{kind} takes no index")
+        return super().__new__(cls, kind, n)
 
     @property
     def m(self) -> int:
@@ -105,8 +110,7 @@ class KodairaType:
         return f"KodairaType({self})"
 
 
-@dataclasses.dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Everything Tate's algorithm knows about E at one place.
 
     split is None for types without a split/non-split distinction and for
@@ -140,8 +144,7 @@ class LocalData:
                 f"f={self.f_v}, a={self.a_v}, v(delta)={self.vdelta_min})")
 
 
-@dataclasses.dataclass(frozen=True)
-class Conductor:
+class Conductor(NamedTuple):
     """The conductor divisor: places with positive exponent, in canonical
     order (infinity first, then by degree and coefficients)."""
 
@@ -415,8 +418,7 @@ def minimal_model_at(E: Curve, v: Place):
     return tau.apply(E), tau
 
 
-@dataclasses.dataclass(frozen=True)
-class CurveAnalysis:
+class CurveAnalysis(NamedTuple):
     """The local data of one curve and what follows from it.
 
     cls is the classification, which carries the polynomial minimal model

@@ -17,10 +17,10 @@ odd dimension has 1 - T^a dividing det(1 - phi T).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import FFECError, Poly, mult_order, orbit_decomposition, row_reduce
 from .weierstrass import Curve, base_change_pow
@@ -58,8 +58,7 @@ def _mat_det(A):
 # ---------------------------------------------------------------------------
 # block systems for the cyclic-pairing lemma
 
-@dataclasses.dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     """phi permutes a blocks of dimension dims cyclically and preserves the
     symmetric non-degenerate pairing; both matrices are exact rationals."""
 

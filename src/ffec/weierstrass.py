@@ -18,7 +18,7 @@ same cleared coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     FFECError,
@@ -296,8 +296,7 @@ class Curve:
         return P
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """Change of Weierstrass coordinates x = u^2 x' + r, y = u^3 y' + s u^2 x' + w.
 
     u, r, s and w are rational functions; Tate's algorithm holds them as
@@ -376,8 +375,7 @@ class Transform:
 # classification --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     isotrivial: bool
     constant: bool
     height: int

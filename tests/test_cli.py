@@ -1,11 +1,11 @@
 import argparse
 import collections
-import dataclasses
 import hashlib
 import importlib.util
 import json
 import os
 import pathlib
+import platform
 import re
 import subprocess
 import sys
@@ -14,9 +14,8 @@ from fractions import Fraction
 import pytest
 
 import ffec
-from ffec import cli, local, weierstrass
+from ffec import berger, cli, heights_points, lfunction, local, weierstrass
 from ffec.algebra import field_create, row_reduce
-from ffec.berger import BergerData
 from ffec.catalog import e1, e7
 from ffec.weierstrass import base_change_pow, format_curve_file
 
@@ -48,6 +47,8 @@ def test_analyze_full_report(tmp_path, capsys):
     assert meta["command"][0] == "analyze"
     assert len(meta["input_sha256"]) == 64
     assert meta["versions"]["ffec"]
+    # read from sys.version, as the platform module would
+    assert meta["versions"]["python"] == platform.python_version()
     cls = by_kind(records, "classification")[0]
     assert cls["constant"] is False and cls["height"] == 2
     kodairas = {r["place"]: r["kodaira"] for r in by_kind(records, "localdata")}
@@ -155,7 +156,7 @@ def test_points_checks_the_rank_as_a_circulant(capsys, monkeypatch):
     def wrong(row):
         seen.append(list(row))
         return 3
-    monkeypatch.setattr(cli, "circulant_rank", wrong)
+    monkeypatch.setattr(heights_points, "circulant_rank", wrong)
     code, records, err = run(capsys, ["points", "--p", "3"])
     assert seen == [by_kind(records, "gram")[0]["matrix"][0]]
     assert code == 1 and "circulant rank" in err
@@ -165,7 +166,7 @@ def test_points_checks_the_rank_as_a_circulant(capsys, monkeypatch):
 def test_analyze_fails_when_rh_fails(tmp_path, capsys, monkeypatch):
     f = tmp_path / "tate.curve"
     f.write_text(TATE_CURVE)
-    monkeypatch.setattr(cli, "check_rh", lambda L: False)
+    monkeypatch.setattr(lfunction, "check_rh", lambda L: False)
     code, records, err = run(capsys, ["analyze", "--curve", str(f)])
     assert by_kind(records, "lreport")[0]["rh"] is False
     assert code == 1 and "inverse roots of L are not all on |alpha| = q" in err
@@ -197,15 +198,15 @@ def test_analyze_checks_conductor_exponents_against_tame_parts(
         tmp_path, capsys, monkeypatch, curve, place, kodaira, by, ok):
     f = tmp_path / "c.curve"
     f.write_text(curve)
-    real = cli.curve_analysis
+    real = local.curve_analysis
 
     def shifted(E):
         # cmd_analyze reads n_v + by at the bad place named place
         A = real(E)
-        bad = tuple(dataclasses.replace(ld, n_v=ld.n_v + by)
+        bad = tuple(ld._replace(n_v=ld.n_v + by)
                     if repr(ld.place) == place else ld for ld in A.bad)
-        return dataclasses.replace(A, bad=bad)
-    monkeypatch.setattr(cli, "curve_analysis", shifted)
+        return A._replace(bad=bad)
+    monkeypatch.setattr(local, "curve_analysis", shifted)
     code, records, err = run(capsys, ["analyze", "--curve", str(f)])
     ld = [r for r in by_kind(records, "localdata") if r["place"] == place]
     assert [r["kodaira"] for r in ld] == [kodaira]
@@ -214,7 +215,7 @@ def test_analyze_checks_conductor_exponents_against_tame_parts(
 
 
 def test_berger_fails_on_violated_hypotheses(capsys, monkeypatch):
-    monkeypatch.setattr(BergerData, "check_hypotheses",
+    monkeypatch.setattr(berger.BergerData, "check_hypotheses",
                         lambda self: ["planted violation"])
     code, records, err = run(capsys, ["berger", "--catalog", "first-example",
                                       "--params", "p=3"])
@@ -223,7 +224,7 @@ def test_berger_fails_on_violated_hypotheses(capsys, monkeypatch):
 
 
 def test_berger_fails_on_negative_genus(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "genus", lambda data: -1)
+    monkeypatch.setattr(berger, "genus", lambda data: -1)
     code, records, err = run(capsys, ["berger", "--catalog", "first-example",
                                       "--params", "p=3"])
     assert by_kind(records, "berger_divisor")[0]["genus"] == -1
@@ -354,36 +355,61 @@ def test_import_leaves_zfactor_out():
     assert out.returncode == 0, out.stderr
 
 
+def test_package_names_resolve_on_first_access():
+    """Each name in ffec.__all__, read from the package, is the object of
+    that name in the module that defines it, and an unknown name is an
+    AttributeError (test_commands_leave_numpy_out reads ffec.cli first
+    thing in a fresh interpreter)."""
+    for name in ffec.__all__:
+        obj = getattr(ffec, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        ffec.no_such_name
+
+
 def test_commands_leave_numpy_out():
-    """numpy is imported by the array paths of Poly alone: importing ffec
-    and running analyze, a tower scan and points --p 3 leave it out, and a
-    product of two 65-coefficient polynomials over F_2 still reaches
-    _array_mul, which loads it."""
+    """Each command loads only the modules it runs, each in a fresh
+    interpreter: import ffec loads no submodule, no command imports
+    dataclasses, platform or numpy, which only Poly's array paths need,
+    points --p 3 leaves the L-function, tower, Berger and catalog modules
+    out, analyze the tower, height and Berger modules and a tower scan the
+    height and Berger modules.  After each, a product of two
+    65-coefficient polynomials over F_2 still loads ffec.arrays and numpy
+    and reaches arrays._array_mul."""
     src = os.path.dirname(os.path.dirname(ffec.__file__))
     data = pathlib.Path(__file__).parent / "data"
     env = dict(os.environ, PYTHONPATH=src)
-    script = f"""
+    never = ["ffec.arrays", "numpy", "dataclasses", "platform"]
+    for argv, absent in [
+            (["points", "--p", "3"],
+             ["ffec.lfunction", "ffec.towers", "ffec.berger", "ffec.catalog"]),
+            (["analyze", "--curve", str(data / "e7-f2.curve")],
+             ["ffec.towers", "ffec.heights_points", "ffec.berger"]),
+            (["tower", "--curve", str(data / "e9-f2.curve"), "--scan", "2"],
+             ["ffec.heights_points", "ffec.berger"])]:
+        script = f"""
 import contextlib, io, sys
-import ffec, ffec.cli
+import ffec
+assert [m for m in sys.modules if m.startswith("ffec.")] == []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert ffec.cli.main({argv!r}) == 0
+loaded = [m for m in {never + absent!r} if m in sys.modules]
+assert loaded == [], loaded
 from ffec import algebra
-assert "numpy" not in sys.modules
-for argv in (["analyze", "--curve", {str(data / "e7-f2.curve")!r}],
-             ["tower", "--curve", {str(data / "e9-f2.curve")!r}, "--scan", "2"],
-             ["points", "--p", "3"]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert ffec.cli.main(argv) == 0, argv
-assert "numpy" not in sys.modules
-calls = []
-array_mul = algebra._array_mul
-algebra._array_mul = lambda *args: calls.append(1) or array_mul(*args)
 F = algebra.field_create(2)
 a = algebra.Poly(F, [1] * 65)
-assert a * a == algebra.Poly(F, [1, 0] * 64 + [1])
-assert calls and "numpy" in sys.modules
+square = algebra.Poly(F, [1, 0] * 64 + [1])
+assert a * a == square
+assert "ffec.arrays" in sys.modules and "numpy" in sys.modules
+from ffec import arrays
+calls = []
+array_mul = arrays._array_mul
+arrays._array_mul = lambda *args: calls.append(1) or array_mul(*args)
+assert a * a == square and calls
 """
-    out = subprocess.run([sys.executable, "-c", script],
-                         env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
+        out = subprocess.run([sys.executable, "-c", script],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, (argv, out.stderr)
 
 
 def test_meta_digest_leaves_openssl_out():

@@ -58,6 +58,20 @@ def crit2_curve():
     return Curve(F5, a2=t ** 3 + 1, a4=t ** 3)   # y^2 = x(x+1)(x+t^3)
 
 
+def test_lpoly_is_an_immutable_checked_record():
+    L = LPoly((1, -2, 4), 2, 2)
+    assert L._fields == ("coeffs", "q", "N") and str(L) == "1 - 2*T + 4*T^2"
+    assert L == LPoly((1, -2, 4), 2, 2) and hash(L) == hash(LPoly((1, -2, 4), 2, 2))
+    assert L != LPoly((1, -2, 4), 4, 2)
+    with pytest.raises(AttributeError):
+        L.q = 4
+    with pytest.raises(AttributeError):
+        L.roots = ()
+    for coeffs, N in (((1, 2), 2), ((2, 1), 1)):
+        with pytest.raises(ValueError, match="lead with 1"):
+            LPoly(coeffs, 2, N)
+
+
 def test_euler_factor_examples():
     E0 = Curve(F5, a6=1)
     v = Place.finite(parse_poly("t+1", F5))
